@@ -2,18 +2,14 @@
 
 Subcommands: measures, sample, interp, concentrate, fixedp, sweep, validate,
 kthreshold. Domain errors exit with status 1 and the error class name on
-stderr; usage errors exit 2. Identical argv and seed produce byte-identical
-output files. SCHMIDT_FORGE_THREADS caps sweep parallelism (0 or unset =
-auto, 1 = serial).
+stderr; usage errors, malformed grids and sample sizes included, exit 2.
+Identical argv and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +18,7 @@ from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .interp import default_xi_grid, interp_sweep
+from .interp import default_xi_grid, interpolate
 from .oracle import run_validation
 from .sampling import SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
@@ -34,28 +30,6 @@ EFFICIENCY_COLUMNS = [
 FIXEDPROB_COLUMNS = [
     "p_fix", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq",
 ]
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """A resolved sweep: spectrum, mode, grid values, destination, format."""
-
-    spectrum: SchmidtSpectrum
-    mode: str
-    grid: tuple[float, ...]
-    out: str
-    format: str
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SCHMIDT_FORGE_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
 
 
 def _grid_token(token: str, dim: int) -> float:
@@ -71,7 +45,10 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
     the spectrum's dimension).
     """
     if text.startswith(("log:", "lin:")):
-        kind, lo, hi, num = text.split(":")
+        parts = text.split(":")
+        if len(parts) != 4:
+            raise ValueError(f"grid {text!r} is not kind:a:b:n")
+        kind, lo, hi, num = parts
         a = _grid_token(lo, dim)
         b = _grid_token(hi, dim)
         n = int(num)
@@ -81,14 +58,6 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
             return np.geomspace(a, b, n)
         return np.linspace(a, b, n)
     return np.array([_grid_token(tok, dim) for tok in text.split(",")])
-
-
-def _parallel_map(fn, items):
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -127,16 +96,19 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _interp_rows(s: SchmidtSpectrum, grid) -> list[list]:
+    # point by point, so only one interpolated spectrum is alive at a time
+    rows = []
+    for xi in grid:
+        p = interpolate(s, xi)
+        m = p.measures
+        rows.append([p.xi, p.success_prob, m.purity, m.schmidt_number, m.concurrence_sq])
+    return rows
+
+
 def _cmd_interp(args) -> int:
     s = io.read_spectrum(args.spectrum)
-    grid = default_xi_grid(args.grid_points)
-    points = interp_sweep(s, grid)
-    rows = [
-        [p.xi, p.success_prob, p.measures.purity, p.measures.schmidt_number,
-         p.measures.concurrence_sq]
-        for p in points
-    ]
-    io.write_csv(args.out, INTERP_COLUMNS, rows)
+    io.write_csv(args.out, INTERP_COLUMNS, _interp_rows(s, default_xi_grid(args.grid_points)))
     return 0
 
 
@@ -172,28 +144,22 @@ def _load_sweep_spectrum(args) -> SchmidtSpectrum:
     return sample_haar_spectrum(spec)[0]
 
 
-def _sweep_rows(req: SweepRequest) -> tuple[list[str], list[list]]:
-    s = req.spectrum
-    if req.mode == "efficiency":
-        def row(p_ref: float) -> list:
-            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, p_ref))
-            m = o.post_measures
-            return [p_ref, o.plan.n_opt, o.p_success, m.purity,
-                    m.schmidt_number, m.concurrence_sq, o.q_value]
-        return EFFICIENCY_COLUMNS, _parallel_map(row, list(req.grid))
-    if req.mode == "fixedprob":
-        def row(p_fix: float) -> list:
-            o = optimal_plan_fixed(s, FixedProbRequest(p_fix))
-            m = o.post_measures
-            return [p_fix, o.plan.n_opt, o.p_success, m.purity,
-                    m.schmidt_number, m.concurrence_sq]
-        return FIXEDPROB_COLUMNS, _parallel_map(row, list(req.grid))
-    def row(xi: float) -> list:
-        from .interp import interpolate
-        p = interpolate(s, xi)
-        m = p.measures
-        return [xi, p.success_prob, m.purity, m.schmidt_number, m.concurrence_sq]
-    return INTERP_COLUMNS, _parallel_map(row, list(req.grid))
+def _sweep_rows(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[list]]:
+    """The sweep table: its header and one row per grid value, in grid order."""
+    if mode == "interp":
+        return INTERP_COLUMNS, _interp_rows(s, grid)
+    header = EFFICIENCY_COLUMNS if mode == "efficiency" else FIXEDPROB_COLUMNS
+    rows = []
+    for v in grid:
+        if mode == "efficiency":
+            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v))
+        else:
+            o = optimal_plan_fixed(s, FixedProbRequest(v))
+        m = o.post_measures
+        row = [v, o.plan.n_opt, o.p_success, m.purity, m.schmidt_number,
+               m.concurrence_sq, o.q_value]
+        rows.append(row[: len(header)])
+    return header, rows
 
 
 def _cmd_sweep(args) -> int:
@@ -202,20 +168,12 @@ def _cmd_sweep(args) -> int:
                  "interp": args.xi_grid}[args.mode]
     if grid_text is None:
         raise OutOfRangeError(f"mode {args.mode} needs its grid option")
-    grid = parse_grid(grid_text, s.dim)
-    if grid.size == 0:
-        raise OutOfRangeError("empty grid")
-    req = SweepRequest(
-        spectrum=s, mode=args.mode, grid=tuple(float(v) for v in grid),
-        out=args.out, format=args.format,
-    )
-    header, rows = _sweep_rows(req)
-    if req.format == "csv":
-        io.write_csv(req.out, header, rows)
+    header, rows = _sweep_rows(s, args.mode, parse_grid(grid_text, s.dim).tolist())
+    if args.format == "csv":
+        io.write_csv(args.out, header, rows)
     else:
         io.write_json(
-            {"mode": req.mode, "rows": [dict(zip(header, r)) for r in rows]},
-            req.out,
+            {"mode": args.mode, "rows": [dict(zip(header, r)) for r in rows]}, args.out
         )
     return 0
 
@@ -326,6 +284,8 @@ def main(argv=None) -> int:
     except SchmidtForgeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a malformed option value, e.g. a grid or sample size
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

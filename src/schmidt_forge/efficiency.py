@@ -7,10 +7,10 @@ The planner maximizes the payoff
 
 over the box 0 <= y_m <= 1, where y_m are the squared diagonal Kraus weights
 and P_ref = 1 - (D-1)/D * C_ref^2 is the reference purity. The maximizer is
-closed form: crop the n largest squared coefficients down to a common level
-and leave the rest untouched, with n as large as the feasibility conditions
-allow. Working in x_m = a_m^2 y_m, the payoff (up to the D/(D-1) factor) is
-P_ref * (sum x)^2 - sum x^2 on the orthotope 0 <= x_m <= a_m^2.
+closed form: one water level L cuts every squared coefficient above it down
+to L and leaves the rest untouched, x_m = a_m^2 y_m = min(a_m^2, L). Working
+in x, the payoff (up to the D/(D-1) factor) is P_ref * (sum x)^2 - sum x^2 on
+the orthotope 0 <= x_m <= a_m^2, and L solves L = P_ref * sum_m min(a_m^2, L).
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .errors import (
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
-from .spectrum import Measures, SchmidtSpectrum, measures, sort_descending, unsort
+from .spectrum import Measures, SchmidtSpectrum, measures
 
-#: feasibility comparisons share this additive tolerance; at exact equality
-#: the n and n-1 plans coincide, so inclusion is harmless
+#: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
 
 
@@ -99,8 +98,8 @@ class ConcentrationPlan:
     ``y`` holds the squared Kraus weights (original index order), ``z`` their
     positive square roots, and ``x = a^2 * y`` the unnormalized
     post-concentration coefficients. ``cropped_indices`` are the original
-    indices whose x was lowered to ``crop_level``; everywhere else
-    x_m = a_m^2. Globally x_m = min(a_m^2, crop_level).
+    indices with a_m^2 >= ``crop_level``, whose x is that level; everywhere
+    else x_m = a_m^2. Globally x_m = min(a_m^2, crop_level).
     """
 
     y: np.ndarray
@@ -153,12 +152,6 @@ def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
     return _scale(s.dim) * (ref.p_ref * total * total - float(np.dot(x, x)))
 
 
-def _tail_sums(values: np.ndarray) -> np.ndarray:
-    """tail[n-1] = sum of values[n:] for n = 1..D (strictly-after sums)."""
-    rev = np.cumsum(values[::-1])[::-1]
-    return np.append(rev[1:], 0.0)
-
-
 def _identity_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     ones = np.ones(s.dim)
     return ConcentrationPlan(
@@ -171,39 +164,51 @@ def _identity_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
     )
 
 
-def _crop_plan(
-    s: SchmidtSpectrum,
-    sorted_sq: np.ndarray,
-    perm: tuple[int, ...],
-    n: int,
-    level: float,
-) -> ConcentrationPlan:
-    """Assemble the plan that lowers the n largest coefficients to ``level``."""
-    d = s.dim
-    x_sorted = np.where(np.arange(d) < n, level, sorted_sq)
-    # untouched coefficients divide to exactly 1.0; zero coefficients (only
-    # ever untouched) keep y = 1 so no Kraus weight vanishes
-    y_sorted = np.divide(
-        x_sorted, sorted_sq, out=np.ones(d), where=sorted_sq > 0.0
-    )
-    y_sorted = np.minimum(y_sorted, 1.0)
-    y = unsort(y_sorted, perm)
-    x = unsort(x_sorted, perm)
+def _level_plan(s: SchmidtSpectrum, level: float) -> ConcentrationPlan:
+    """The plan x = min(a^2, level), in the original index order."""
+    sq = s.sq_coeffs
+    crop = sq >= level
+    # y = level / a^2 <= 1 on the crop, so x = a^2 * y never exceeds a^2;
+    # untouched coefficients, zeros included, keep y = 1 exactly
+    y = np.divide(level, sq, out=np.ones(s.dim), where=crop)
     return ConcentrationPlan(
         y=y,
         z=np.sqrt(y),
-        x=x,
-        n_opt=n,
+        x=sq * y,
+        n_opt=int(np.count_nonzero(crop)),
         crop_level=float(level),
-        cropped_indices=tuple(sorted(perm[:n])),
+        cropped_indices=tuple(np.flatnonzero(crop).tolist()),
     )
 
 
 def _outcome_from_plan(
-    s: SchmidtSpectrum, plan: ConcentrationPlan, p_success: float, q_value: float | None
+    s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
 ) -> ConcentrationOutcome:
+    p_success = float(np.sum(plan.x))
     post = SchmidtSpectrum(s.dim, plan.x / p_success)
-    return ConcentrationOutcome(plan, float(p_success), post, measures(post), q_value)
+    return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
+
+
+def _efficiency_level(sq: np.ndarray, p_ref: float) -> float:
+    """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < max a^2.
+
+    Where the n coefficients at or above L are cut and beta is the weight
+    below L, the equation is linear with root P_ref * beta / (1 - n * P_ref).
+    That Newton step, started at max a^2, approaches the root from above and
+    cuts more coefficients each time, until a step cuts no new ones. A crop
+    of the whole support (beta = 0), or one at the curvature bound
+    n * P_ref >= 1, has no positive root on its piece and keeps its level.
+    """
+    level = float(np.max(sq))
+    n_prev = 0
+    while True:
+        crop = sq >= level
+        n = int(np.count_nonzero(crop))
+        beta = float(np.sum(sq[~crop]))
+        if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
+            return level
+        level = p_ref * beta / (1.0 - n * p_ref)
+        n_prev = n
 
 
 def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> ConcentrationOutcome:
@@ -214,12 +219,11 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
     (z_m = a_min/a_m), the post state is maximally entangled and
     p_success = D * a_min^2.
 
-    For P_ref > 1/D the sorted squared coefficients are scanned for the
-    largest crop count n satisfying both the box condition
-    alpha_n <= a_n^2 and the curvature bound n < 1/P_ref, where
-    alpha_n = P_ref * beta_n / (1 - n * P_ref) and beta_n is the weight left
-    uncropped. If no n qualifies the identity plan (keep the state) is
-    optimal and is returned with n_opt = 0.
+    For P_ref >= max a^2 the identity plan (keep the state) is optimal and
+    is returned with n_opt = 0. In between, the optimum cuts every squared
+    coefficient at or above the water level L down to L, where L is the
+    positive root of L = P_ref * sum_m min(a_m^2, L); n_opt counts the cut
+    coefficients.
     """
     if s.dim != ref.dim:
         raise DimensionMismatchError(
@@ -255,30 +259,14 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
             "positive success probability reaches the reference entanglement"
         )
 
-    sorted_spectrum, perm = sort_descending(s)
-    a = sorted_spectrum.sq_coeffs
-    beta = _tail_sums(a)
-    gamma = _tail_sums(a * a)
-    ns = np.arange(1, d + 1, dtype=float)
-    denom = 1.0 - ns * p_ref
-    hessian_ok = ns < 1.0 / p_ref - FEAS_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(hessian_ok, p_ref * beta / denom, np.inf)
-    # a crop is only a plan if something survives it: alpha = beta = 0 would
-    # zero every coefficient and leave nothing to succeed with
-    feasible = hessian_ok & (alpha <= a + FEAS_TOL) & ((alpha > 0.0) | (beta > 0.0))
+    sq = s.sq_coeffs
+    if p_ref >= float(np.max(sq)):
+        return _outcome_from_plan(s, _identity_plan(s), _scale(d) * (p_ref - float(sq @ sq)))
 
-    if not np.any(feasible):
-        plan = _identity_plan(s)
-        q = _scale(d) * (p_ref - float(np.dot(a, a)))
-        return _outcome_from_plan(s, plan, float(np.sum(s.sq_coeffs)), q)
-
-    n_opt = int(np.max(np.nonzero(feasible)[0])) + 1
-    level = float(alpha[n_opt - 1])
-    plan = _crop_plan(s, a, perm, n_opt, level)
-    p_success = n_opt * level + float(beta[n_opt - 1])
-    q = _scale(d) * (level * float(beta[n_opt - 1]) - float(gamma[n_opt - 1]))
-    return _outcome_from_plan(s, plan, p_success, q)
+    level = _efficiency_level(sq, p_ref)
+    rest = sq[sq < level]
+    q = _scale(d) * (level * float(np.sum(rest)) - float(rest @ rest))
+    return _outcome_from_plan(s, _level_plan(s, level), q)
 
 
 def apply_plan(

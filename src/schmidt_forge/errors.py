@@ -17,6 +17,10 @@ class NegativeEntryError(SchmidtForgeError):
     """A squared Schmidt coefficient was negative."""
 
 
+class NonFiniteEntryError(SchmidtForgeError):
+    """A squared Schmidt coefficient was NaN or infinite."""
+
+
 class NotNormalizedError(SchmidtForgeError):
     """Squared coefficients do not sum to one within tolerance."""
 

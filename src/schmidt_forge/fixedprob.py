@@ -3,9 +3,9 @@
 Pinning p_success = p_fix turns the payoff problem into minimizing the
 post-state purity sum_m a_m^4 y_m^2 / p_fix^2 subject to
 sum_m a_m^2 y_m = p_fix and the box 0 <= y_m <= 1. The minimizer has the same
-structure as the efficiency optimum: the n largest squared coefficients are
-cropped to a common level kappa_n = (p_fix - beta_n) / n, with n as large as
-feasibility allows.
+structure as the efficiency optimum: every squared coefficient above one
+water level kappa is cut down to it, x_m = min(a_m^2, kappa), where kappa
+solves sum_m min(a_m^2, kappa) = p_fix.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from .efficiency import (
     FEAS_TOL,
     ConcentrationOutcome,
     ReferenceLevel,
-    _crop_plan,
     _identity_plan,
+    _level_plan,
     _outcome_from_plan,
-    _tail_sums,
     optimal_plan_efficiency,
 )
-from .errors import InfeasibleError, PFixOutOfRangeError
-from .spectrum import SchmidtSpectrum, sort_descending
+from .errors import PFixOutOfRangeError
+from .spectrum import SchmidtSpectrum
 
 
 @dataclass(frozen=True)
@@ -39,34 +38,41 @@ class FixedProbRequest:
             raise PFixOutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
+def _fixed_level(sq: np.ndarray, p_fix: float) -> float:
+    """Root kappa of sum_m min(a_m^2, kappa) = p_fix, for 0 < p_fix < sum a^2.
+
+    Where the n coefficients at or above kappa are cut and beta is the weight
+    below kappa, the equation is linear with root (p_fix - beta) / n. That
+    Newton step, started at p_fix / D (below the root, since the sum is at
+    most D * kappa), approaches the root from below and cuts fewer
+    coefficients each time, until a step cuts no fewer.
+    """
+    level = p_fix / sq.size
+    n_prev = sq.size + 1
+    while True:
+        crop = sq >= level
+        n = int(np.count_nonzero(crop))
+        if not 0 < n < n_prev:
+            return level
+        level = (p_fix - float(np.sum(sq[~crop]))) / n
+        n_prev = n
+
+
 def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> ConcentrationOutcome:
     """Minimize post-concentration purity among plans succeeding with p_fix.
 
-    The outcome's ``p_success`` equals ``p_fix`` to rounding and its purity is
-    the global minimum over the feasible set; ``q_value`` is None because no
-    reference level takes part in this problem.
+    Every squared coefficient at or above the water level kappa is cut down
+    to it, where sum_m min(a_m^2, kappa) = p_fix; n_opt counts the cut
+    coefficients. A p_fix at or above sum a^2 keeps the state (the identity
+    plan, n_opt = 0). The outcome's ``p_success`` equals ``p_fix`` to
+    rounding and its purity is the global minimum over the feasible set;
+    ``q_value`` is None because no reference level takes part in this
+    problem.
     """
     p_fix = float(req.p_fix)
-    sorted_spectrum, perm = sort_descending(s)
-    a = sorted_spectrum.sq_coeffs
-    beta = _tail_sums(a)
-    ns = np.arange(1, s.dim + 1, dtype=float)
-    kappa = (p_fix - beta) / ns
-    feasible = (kappa >= -FEAS_TOL) & (kappa <= a + FEAS_TOL)
-
-    if not np.any(feasible):
-        # unreachable for p_fix in (0, 1]: the per-n feasibility intervals
-        # [beta_n, beta_n + n * a_n^2] chain together and cover (0, 1]
-        if abs(p_fix - 1.0) <= 1e-9:
-            plan = _identity_plan(s)
-            return _outcome_from_plan(s, plan, float(np.sum(s.sq_coeffs)), None)
-        raise InfeasibleError(f"no prefix crop meets p_fix={p_fix!r}")
-
-    n_opt = int(np.max(np.nonzero(feasible)[0])) + 1
-    level = max(float(kappa[n_opt - 1]), 0.0)
-    plan = _crop_plan(s, a, perm, n_opt, level)
-    p_success = n_opt * level + float(beta[n_opt - 1])
-    return _outcome_from_plan(s, plan, p_success, None)
+    if p_fix >= float(np.sum(s.sq_coeffs)):
+        return _outcome_from_plan(s, _identity_plan(s), None)
+    return _outcome_from_plan(s, _level_plan(s, _fixed_level(s.sq_coeffs, p_fix)), None)
 
 
 def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -> bool:

@@ -8,6 +8,10 @@ Two routes certify the planners without reusing their logic:
 * multi-start box-projected gradient ascent on the quadratic payoff, a
   library-free stand-in for a numerical QP solver.
 
+For dimensions beyond enumeration, the sorted-prefix scans give each
+planner's crop count and water level from a descending sort, with no
+shared code.
+
 The module also carries the relative-difference metrics used to compare the
 two routes, and direct checks of two structural facts: the unreferenced
 payoff p^2 C^2 is maximized by doing nothing, and off-diagonal filter
@@ -461,6 +465,48 @@ def numeric_qp_ascent(
         delta_q_relative=delta_q,
         converged=converged,
     )
+
+
+def _sorted_tails(s: SchmidtSpectrum):
+    """Descending coefficients a, beta[n-1] = sum(a[n:]) and n = 1..D."""
+    a = np.sort(s.sq_coeffs)[::-1]
+    beta = np.append(np.cumsum(a[::-1])[::-1][1:], 0.0)
+    return a, beta, np.arange(1, a.size + 1, dtype=float)
+
+
+def _largest_fit(a: np.ndarray, levels: np.ndarray, fits: np.ndarray) -> tuple[int, float]:
+    """Largest n whose level fits under a_n (relative to a_n), with that level;
+    (0, max a^2) when none does."""
+    fits = fits & (levels <= a * (1.0 + FEAS_TOL))
+    if not np.any(fits):
+        return 0, float(a[0])
+    n = int(np.flatnonzero(fits)[-1]) + 1
+    return n, float(levels[n - 1])
+
+
+def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int, float]:
+    """Crop count and level of the efficiency optimum by the sorted-prefix scan.
+
+    The optimum crops the largest n coefficients whose level
+    alpha_n = P_ref * beta_n / (1 - n * P_ref) satisfies the box condition
+    alpha_n <= a_n^2 and the curvature bound n * P_ref < 1, with something
+    left uncropped (beta_n > 0). Valid for P_ref > 1/D.
+    """
+    a, beta, ns = _sorted_tails(s)
+    p_ref = ref.p_ref
+    curv_ok = ns * p_ref < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(curv_ok, p_ref * beta / (1.0 - ns * p_ref), np.inf)
+    return _largest_fit(a, alpha, curv_ok & (beta > 0.0))
+
+
+def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
+    """Crop count and level of the fixed-probability optimum by the
+    sorted-prefix scan: the largest n whose level
+    kappa_n = (p_fix - beta_n) / n lies in (0, a_n^2]."""
+    a, beta, ns = _sorted_tails(s)
+    kappa = (p_fix - beta) / ns
+    return _largest_fit(a, kappa, kappa > 0.0)
 
 
 def appendix_a_check(s: SchmidtSpectrum, trials: int = 10_000, seed: int = 0) -> bool:

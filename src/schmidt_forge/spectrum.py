@@ -15,6 +15,7 @@ from .errors import (
     EmptyInputError,
     InvalidSpectrumError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NotNormalizedError,
 )
 
@@ -46,6 +47,8 @@ class SchmidtSpectrum:
             )
         if self.dim < 2:
             raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
+        if not np.all(np.isfinite(coeffs)):
+            raise NonFiniteEntryError("squared coefficients must be finite")
         if np.any(coeffs < 0.0):
             raise NegativeEntryError("squared coefficients must be nonnegative")
         if np.any(coeffs > 1.0 + NORM_TOL):
@@ -92,6 +95,8 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInputError("no coefficients given")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteEntryError("coefficients must be finite")
     if np.any(arr < 0.0):
         raise NegativeEntryError("coefficients must be nonnegative")
     if input_kind == "amplitudes":
@@ -134,17 +139,3 @@ def sort_descending(s: SchmidtSpectrum) -> tuple[SchmidtSpectrum, tuple[int, ...
     perm = np.argsort(-s.sq_coeffs, kind="stable")
     sorted_spectrum = SchmidtSpectrum(s.dim, s.sq_coeffs[perm])
     return sorted_spectrum, tuple(int(i) for i in perm)
-
-
-def invert_permutation(perm) -> tuple[int, ...]:
-    inv = np.empty(len(perm), dtype=int)
-    inv[np.asarray(perm, dtype=int)] = np.arange(len(perm))
-    return tuple(int(i) for i in inv)
-
-
-def unsort(values, perm) -> np.ndarray:
-    """Undo :func:`sort_descending`: scatter sorted values back to original slots."""
-    values = np.asarray(values)
-    out = np.empty_like(values)
-    out[np.asarray(perm, dtype=int)] = values
-    return out

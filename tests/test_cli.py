@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from schmidt_forge import io, make_spectrum
+from schmidt_forge import (
+    FixedProbRequest,
+    ReferenceLevel,
+    io,
+    make_spectrum,
+    optimal_plan_efficiency,
+    optimal_plan_fixed,
+)
 from schmidt_forge.cli import main, parse_grid
+
+from helpers import haar
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -102,10 +111,29 @@ class TestConcentrateCommand:
         assert code == 1
         assert "IoError" in capsys.readouterr().err
 
-    def test_usage_error_exits_two(self, worked_spectrum):
-        with pytest.raises(SystemExit) as err:
-            main(["concentrate", "--spectrum", str(worked_spectrum)])
-        assert err.value.code == 2
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_spectrum_exit_code(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 3, "squared_coefficients": [{bad}, 0.5, 0.5]}}')
+        code = main(["concentrate", "--spectrum", str(path), "--pref", "0.5"])
+        assert code == 1
+        assert "NonFiniteEntryError" in capsys.readouterr().err
+
+    def test_usage_error_exits_two(self, worked_spectrum, tmp_path):
+        sweep = ["sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
+                 "--out", str(tmp_path / "x.csv"), "--pref-grid"]
+        for argv in (
+            ["concentrate", "--spectrum", str(worked_spectrum)],
+            sweep + ["abc"],
+            sweep + ["log:0:1:5"],
+            sweep + ["lin:0.5:1"],
+            sweep + ["lin:0:1:0"],
+            ["sample", "--dim", "1", "--seed", "0", "--count", "1",
+             "--out", str(tmp_path / "s")],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
 
 
 class TestFixedpCommand:
@@ -140,18 +168,28 @@ class TestSweepCommand:
         assert np.all(np.diff(n_opt) <= 0)
         assert np.all(np.diff(p_s) >= -1e-12)
 
-    def test_thread_count_does_not_change_bytes(self, worked_spectrum, tmp_path, monkeypatch):
-        argv = [
-            "sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
-            "--pref-grid", "lin:0.3:0.9:13",
-        ]
-        monkeypatch.setenv("SCHMIDT_FORGE_THREADS", "1")
-        out1 = tmp_path / "serial.csv"
-        assert main(argv + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("SCHMIDT_FORGE_THREADS", "4")
-        out2 = tmp_path / "parallel.csv"
-        assert main(argv + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_rows_match_per_point_planner(self, tmp_path):
+        s = haar(64, 5)
+        spath = tmp_path / "s.json"
+        io.write_spectrum(s, spath)
+        for mode in ("efficiency", "fixedprob"):
+            out = tmp_path / f"{mode}.csv"
+            assert main([
+                "sweep", "--spectrum", str(spath), "--mode", mode,
+                "--pref-grid", "log:1/D:1:30", "--pfix-grid", "log:0.001:1:30",
+                "--out", str(out),
+            ]) == 0
+            _, rows = io.read_csv(out)
+            assert len(rows) == 30
+            for row in rows:
+                if mode == "efficiency":
+                    o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, row[0]))
+                else:
+                    o = optimal_plan_fixed(s, FixedProbRequest(row[0]))
+                m = o.post_measures
+                want = [row[0], o.plan.n_opt, o.p_success, m.purity, m.schmidt_number,
+                        m.concurrence_sq, o.q_value]
+                assert row == want[: len(row)]
 
     def test_fixedprob_mode(self, worked_spectrum, tmp_path):
         out = tmp_path / "fp.csv"

@@ -146,12 +146,14 @@ class TestOptimalPlan:
 
     def test_rank_deficient_feasible_reference_works(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.5))
-        # support concentration: both live coefficients crop to 0.4-level
-        assert out.p_success > 0.0
-        assert np.min(out.plan.y) > 0.0
-        zero_idx = np.where(s.sq_coeffs == 0.0)[0]
-        assert np.all(out.plan.y[zero_idx] == 1.0)
+        # at 1/rank, and just below it within the range-check slack
+        for p_ref in (0.5, 0.5 - 5e-13):
+            out = optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
+            # support concentration: both live coefficients crop to 0.4-level
+            assert out.p_success > 0.0
+            assert np.min(out.plan.y) > 0.0
+            zero_idx = np.where(s.sq_coeffs == 0.0)[0]
+            assert np.all(out.plan.y[zero_idx] == 1.0)
 
     def test_dimension_mismatch(self):
         s = make_spectrum(WORKED)

@@ -77,6 +77,16 @@ class TestOptimalPlanFixed:
         _, perm = sort_descending(s)
         assert plan.cropped_indices == tuple(sorted(perm[: plan.n_opt]))
 
+    def test_level_never_raises_a_coefficient(self):
+        # an absolute feasibility tolerance once counted a coefficient lying
+        # just below the level here, lifting its x above a^2
+        s = make_spectrum(np.random.default_rng(2).dirichlet(np.ones(2**16)))
+        out = optimal_plan_fixed(s, FixedProbRequest(2.0068e-4))
+        plan = out.plan
+        assert np.all(plan.x <= s.sq_coeffs)
+        assert plan.n_opt == np.count_nonzero(s.sq_coeffs >= plan.crop_level)
+        assert out.p_success == pytest.approx(2.0068e-4, rel=1e-12)
+
     @given(spectra(min_dim=3, max_dim=8), st.floats(0.05, 1.0))
     def test_purity_minimal_vs_enumeration(self, s, p_fix):
         out = optimal_plan_fixed(s, FixedProbRequest(p_fix))

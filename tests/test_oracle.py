@@ -24,7 +24,11 @@ from schmidt_forge.errors import (
     NotPSDError,
     SpectralBoundViolatedError,
 )
-from schmidt_forge.oracle import sample_psd_contraction
+from schmidt_forge.oracle import (
+    prefix_scan_efficiency,
+    prefix_scan_fixed,
+    sample_psd_contraction,
+)
 
 from helpers import dirichlet_spectrum, random_reference
 
@@ -296,3 +300,37 @@ class TestValidationDriver:
         names = {r.name for r in results}
         assert "efficiency-vs-enumeration" in names
         assert "duality" in names
+
+
+class TestPrefixScanAtScale:
+    """The planners' water level against the sorted-prefix scan at D = 2^20."""
+
+    D = 2**20
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        return dirichlet_spectrum(np.random.default_rng(20), self.D)
+
+    def _check(self, s, outcome, n_scan, level_scan):
+        plan = outcome.plan
+        sq = s.sq_coeffs
+        assert plan.n_opt == n_scan
+        assert abs(plan.crop_level - level_scan) <= 1e-12 * level_scan
+        assert plan.n_opt == np.count_nonzero(sq >= plan.crop_level)
+        assert np.all(plan.x <= sq)
+        assert np.array_equal(plan.x, sq * plan.y)
+
+    @pytest.mark.parametrize("k_ref", [1.05, 1.5, 4.0])
+    def test_efficiency(self, spectrum, k_ref):
+        ref = ReferenceLevel(self.D, k_ref / self.D)
+        n_scan, level_scan = prefix_scan_efficiency(spectrum, ref)
+        assert 0 < n_scan < self.D
+        self._check(spectrum, optimal_plan_efficiency(spectrum, ref), n_scan, level_scan)
+
+    @pytest.mark.parametrize("p_fix", [1e-3, 0.1, 0.5, 0.9])
+    def test_fixed(self, spectrum, p_fix):
+        n_scan, level_scan = prefix_scan_fixed(spectrum, p_fix)
+        assert 0 < n_scan < self.D
+        out = optimal_plan_fixed(spectrum, FixedProbRequest(p_fix))
+        self._check(spectrum, out, n_scan, level_scan)
+        assert out.p_success == pytest.approx(p_fix, rel=1e-12)
