@@ -19,7 +19,7 @@ from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import default_xi_grid, interpolate
-from .oracle import run_validation
+from .oracle import MAX_ENUM_DIM, MIN_VALIDATION_DIM, run_validation
 from .sampling import SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 
@@ -30,6 +30,8 @@ EFFICIENCY_COLUMNS = [
 FIXEDPROB_COLUMNS = [
     "p_fix", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq",
 ]
+#: the grid option each sweep mode reads
+SWEEP_GRID_OPTIONS = {"efficiency": "pref_grid", "fixedprob": "pfix_grid", "interp": "xi_grid"}
 
 
 def _grid_token(token: str, dim: int) -> float:
@@ -64,7 +66,8 @@ def _emit(obj: dict, out: str | None) -> None:
     if out:
         io.write_json(obj, out)
     else:
-        sys.stdout.write(io._render(obj) + "\n")
+        sys.stdout.writelines(io.json_pieces(obj))
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -164,10 +167,7 @@ def _sweep_rows(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[li
 
 def _cmd_sweep(args) -> int:
     s = _load_sweep_spectrum(args)
-    grid_text = {"efficiency": args.pref_grid, "fixedprob": args.pfix_grid,
-                 "interp": args.xi_grid}[args.mode]
-    if grid_text is None:
-        raise OutOfRangeError(f"mode {args.mode} needs its grid option")
+    grid_text = getattr(args, SWEEP_GRID_OPTIONS[args.mode])
     header, rows = _sweep_rows(s, args.mode, parse_grid(grid_text, s.dim).tolist())
     if args.format == "csv":
         io.write_csv(args.out, header, rows)
@@ -256,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("validate", help="run oracle suites against the planners")
-    p.add_argument("--dim-max", type=int, default=10)
+    p.add_argument(
+        "--dim-max", type=int, default=10,
+        help=f"largest dimension of the random instances (at least {MIN_VALIDATION_DIM}; "
+             f"capped at {MAX_ENUM_DIM})",
+    )
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
@@ -277,8 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep" and bool(args.spectrum) == (args.dim is not None):
-        parser.error("sweep needs exactly one of --spectrum or --dim")
+    if args.command == "sweep":
+        if bool(args.spectrum) == (args.dim is not None):
+            parser.error("sweep needs exactly one of --spectrum or --dim")
+        option = SWEEP_GRID_OPTIONS[args.mode]
+        if getattr(args, option) is None:
+            parser.error(f"sweep --mode {args.mode} needs --{option.replace('_', '-')}")
+    if args.command == "validate" and args.dim_max < MIN_VALIDATION_DIM:
+        parser.error(
+            f"validate --dim-max must be at least {MIN_VALIDATION_DIM}, got {args.dim_max}"
+        )
     try:
         return args.fn(args)
     except SchmidtForgeError as exc:

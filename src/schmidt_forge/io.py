@@ -2,6 +2,9 @@
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
 doubles exactly; rereading a written file reproduces the values bit for bit.
+Non-finite floats are written as ``null``. JSON is written as a stream:
+a float array goes out in chunks of ``FLOAT_CHUNK`` values, so the text of
+a D-long outcome or spectrum is never held in memory at once.
 CSV uses '.' decimals, ',' separators, LF line endings and a mandatory
 header, so outputs diff cleanly across runs.
 """
@@ -16,38 +19,79 @@ import numpy as np
 
 from .efficiency import ConcentrationOutcome
 from .errors import IoError, NotNormalizedError, ParseError, SchemaError, SchmidtForgeError
-from .spectrum import SchmidtSpectrum, make_spectrum
+from .spectrum import SchmidtSpectrum, _frozen_array, make_spectrum
 
 OUTCOME_MODES = {"efficiency": "p_ref", "fixedprob": "p_fix"}
 
+#: floats formatted per piece of streamed JSON
+FLOAT_CHUNK = 4096
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+
+def _float_array(value) -> np.ndarray | None:
+    """``value`` as a 1-D float64 array if it is a float array, else None:
+    a 1-D ndarray of float dtype, or a non-empty list or tuple of floats."""
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.dtype.kind == "f":
+            return np.asarray(value, dtype=float)
+        return None
+    if isinstance(value, (list, tuple)) and value and all(
+        isinstance(v, (float, np.floating)) for v in value
+    ):
+        return np.asarray(value, dtype=float)
+    return None
 
 
-def _render(value) -> str:
-    """Tiny JSON writer with fixed float formatting and key order."""
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
+def _scalar(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        if np.isnan(value) or np.isinf(value):
+        if not np.isfinite(value):
             return "null"  # undefined metrics stay valid JSON
-        return format_float(value)
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def json_pieces(value):
+    """Yield the JSON text of ``value`` in pieces, with fixed float
+    formatting and dict key order kept. Joined, the pieces are the whole
+    text; a float array comes as one piece per ``FLOAT_CHUNK`` values."""
+    floats = _float_array(value)
+    if floats is not None:
+        yield "["
+        for start in range(0, floats.size, FLOAT_CHUNK):
+            chunk = floats[start:start + FLOAT_CHUNK]
+            items = [format(v, ".17g") for v in chunk.tolist()]
+            for i in np.flatnonzero(~np.isfinite(chunk)):
+                items[i] = "null"
+            yield (", " if start else "") + ", ".join(items)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (k, v) in enumerate(value.items()):
+            yield f"{', ' if i else ''}{json.dumps(k)}: "
+            yield from json_pieces(v)
+        yield "}"
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        yield "["
+        for i, v in enumerate(value):
+            if i:
+                yield ", "
+            yield from json_pieces(v)
+        yield "]"
+    else:
+        yield _scalar(value)
+
+
 def write_json(obj: dict, path) -> None:
+    """Write ``obj`` as one line of JSON, streaming its pieces to the file."""
     try:
-        Path(path).write_text(_render(obj) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(json_pieces(obj))
+            f.write("\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -68,7 +112,7 @@ def _load_json(path) -> dict:
 
 
 def write_spectrum(s: SchmidtSpectrum, path) -> None:
-    write_json({"dim": s.dim, "squared_coefficients": list(s.sq_coeffs)}, path)
+    write_json({"dim": s.dim, "squared_coefficients": s.sq_coeffs}, path)
 
 
 def read_spectrum(path) -> SchmidtSpectrum:
@@ -97,20 +141,25 @@ class OutcomeRecord:
     """Flat, serialization-ready view of a concentration outcome.
 
     ``mode`` selects the leading JSON field name: ``p_ref`` for efficiency
-    outcomes, ``p_fix`` for fixed-probability ones.
+    outcomes, ``p_fix`` for fixed-probability ones. ``y`` and
+    ``post_spectrum`` are read-only float arrays.
     """
 
     mode: str
     ref_value: float
     n_opt: int
     crop_level: float
-    y: tuple[float, ...]
+    y: np.ndarray
     p_success: float
-    post_spectrum: tuple[float, ...]
+    post_spectrum: np.ndarray
     purity: float
     schmidt_number: float
     concurrence_sq: float
     q_value: float | None
+
+    def __post_init__(self):
+        for name in ("y", "post_spectrum"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @classmethod
     def from_outcome(cls, outcome: ConcentrationOutcome, mode: str, ref_value: float):
@@ -121,9 +170,9 @@ class OutcomeRecord:
             ref_value=float(ref_value),
             n_opt=outcome.plan.n_opt,
             crop_level=outcome.plan.crop_level,
-            y=tuple(float(v) for v in outcome.plan.y),
+            y=outcome.plan.y,
             p_success=outcome.p_success,
-            post_spectrum=tuple(float(v) for v in outcome.post_spectrum.sq_coeffs),
+            post_spectrum=outcome.post_spectrum.sq_coeffs,
             purity=outcome.post_measures.purity,
             schmidt_number=outcome.post_measures.schmidt_number,
             concurrence_sq=outcome.post_measures.concurrence_sq,
@@ -135,9 +184,9 @@ class OutcomeRecord:
             OUTCOME_MODES[self.mode]: self.ref_value,
             "n_opt": self.n_opt,
             "crop_level": self.crop_level,
-            "y": list(self.y),
+            "y": self.y,
             "p_success": self.p_success,
-            "post_spectrum": list(self.post_spectrum),
+            "post_spectrum": self.post_spectrum,
             "purity": self.purity,
             "schmidt_number": self.schmidt_number,
             "concurrence_sq": self.concurrence_sq,
@@ -182,36 +231,6 @@ def read_outcome(path) -> OutcomeRecord:
         )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed field: {exc}") from exc
-
-
-def report_record(report, s: SchmidtSpectrum, ref_value: float) -> dict:
-    """Oracle-report JSON: the outcome fields its best point implies, plus
-    the oracle's own metrics. Undefined relative differences serialize as
-    null."""
-    from .spectrum import measures as _measures
-
-    y = np.asarray(report.best_y, dtype=float)
-    x = s.sq_coeffs * y
-    p = float(np.sum(x))
-    record: dict = {OUTCOME_MODES[report.mode]: float(ref_value)}
-    if report.best_config is not None:
-        record["n_opt"] = report.best_config.n
-        record["crop_level"] = report.best_config.level
-    record["y"] = list(y)
-    record["p_success"] = p
-    if p > 0.0:
-        post = SchmidtSpectrum(s.dim, x / p)
-        m = _measures(post)
-        record["post_spectrum"] = list(post.sq_coeffs)
-        record["purity"] = m.purity
-        record["schmidt_number"] = m.schmidt_number
-        record["concurrence_sq"] = m.concurrence_sq
-    record["q_value"] = report.best_q
-    record["configurations_tested"] = report.configurations_tested
-    record["delta_y_relative"] = report.delta_y_relative
-    record["delta_q_relative"] = report.delta_q_relative
-    record["converged"] = report.converged
-    return record
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -46,6 +46,8 @@ from .spectrum import SchmidtSpectrum
 #: exhaustive enumeration cost guards
 MAX_ENUM_DIM = 14
 MAX_ZERO_FACE_DIM = 8
+#: smallest dimension ``run_validation`` draws
+MIN_VALIDATION_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -600,7 +602,7 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
     worst_dq = worst_dy = 0.0
     ok = True
     for _ in range(instances):
-        d = int(rng.integers(3, dim_max + 1))
+        d = int(rng.integers(MIN_VALIDATION_DIM, dim_max + 1))
         s = haar(d)
         u = rng.uniform(0.01, 1.0)
         ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
@@ -621,7 +623,7 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
     worst_gap = worst_p = 0.0
     ok = True
     for _ in range(instances):
-        d = int(rng.integers(3, dim_max + 1))
+        d = int(rng.integers(MIN_VALIDATION_DIM, dim_max + 1))
         s = haar(d)
         p_fix = float(rng.uniform(0.05, 1.0))
         alg = optimal_plan_fixed(s, FixedProbRequest(p_fix))
@@ -640,7 +642,7 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
     # the two planners agree through the success probability
     fails = 0
     for _ in range(instances):
-        d = int(rng.integers(3, dim_max + 1))
+        d = int(rng.integers(MIN_VALIDATION_DIM, dim_max + 1))
         s = haar(d)
         u = rng.uniform(0.0, 1.0)
         ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
@@ -680,7 +682,7 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
     worst_rel = 0.0
     ok = True
     for _ in range(n_ascent):
-        d = int(rng.integers(3, dim_max + 1))
+        d = int(rng.integers(MIN_VALIDATION_DIM, dim_max + 1))
         s = haar(d)
         ref = ReferenceLevel(d, float(rng.uniform(1.0 / d + 0.01, 1.0)))
         enum = enumerate_configurations(s, ref)

@@ -34,3 +34,26 @@ def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0):
     lo = 1.0 / dim
     u = rng.uniform(margin, 1.0)
     return ReferenceLevel(dim, lo + u * (1.0 - lo))
+
+
+def reference_render(value) -> str:
+    """Element-by-element JSON writer: the reference the streamed serializer
+    must match byte for byte."""
+    import json
+
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(k)}: {reference_render(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(reference_render(v) for v in value) + "]"
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        if np.isnan(value) or np.isinf(value):
+            return "null"
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")

@@ -128,6 +128,7 @@ class TestConcentrateCommand:
             sweep + ["log:0:1:5"],
             sweep + ["lin:0.5:1"],
             sweep + ["lin:0:1:0"],
+            ["sweep", "--dim", "4", "--mode", "efficiency", "--out", str(tmp_path / "x.csv")],
             ["sample", "--dim", "1", "--seed", "0", "--count", "1",
              "--out", str(tmp_path / "s")],
         ):
@@ -241,6 +242,15 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS efficiency-vs-enumeration" in out
         assert "FAIL" not in out
+
+    def test_dim_max_below_three_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--dim-max", "2"])
+        assert err.value.code == 2
+        assert "--dim-max must be at least 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        assert "at least 3" in capsys.readouterr().out
 
     def test_hundred_instance_run_passes(self, capsys):
         code = main(["validate", "--dim-max", "8", "--instances", "100", "--seed", "0"])

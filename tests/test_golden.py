@@ -1,0 +1,140 @@
+"""Golden bytes of the JSON the CLI and the io module write.
+
+The digests were taken from files written by an element-by-element
+serializer (kept as ``helpers.reference_render``). The spectra are dyadic
+and the references chosen so that every dot product in a plan's measures came
+out the same when summed sequentially, in reverse, pairwise and by
+``math.fsum``, so the digests should not depend on the BLAS build.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from schmidt_forge import io, make_spectrum
+from schmidt_forge.cli import main
+
+from helpers import reference_render
+
+SMALL = [0.5, 0.25, 0.125, 0.125]
+LARGE_DIM = 2**16
+
+GOLDEN = {
+    "spectrum-small": "36e1af7d36a3c843eea605df099ac04d6234e162b94d0b7fec102b12364ebbea",
+    "spectrum-large": "30f9d1cda663f175eab46c7c5e3dfdff19ac78a04c2e592f32503e88e74974e4",
+    "concentrate": "3cc8e2abfd437329f9836196ed7160cde1c569bfc3508725e7036c2ccec7413e",
+    "concentrate-large": "a648b6b92703fdf6353aa0d83a503ca0c07b2b80704126f89996cd38a373c738",
+    "fixedp": "09661b102b67b96ee480b5da5c9be1cf6a7313b3d640ab200372b4cfc922e074",
+    "kthreshold": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
+    "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
+    "sweep-json": "a8013563bc6ca754731c75d1693c847ccf627eaf5fe6943852c6365a39a227d1",
+}
+
+NON_FINITE = (
+    b'{"scalar": null, "array": [0.5, null, null, null, 2], '
+    b'"list": [null, 1], "mixed": [1, null, "x", true, null]}\n'
+)
+
+
+def _large_outcome_spectrum():
+    # three dyadic values in a scrambled order, so every chunk differs
+    base = np.concatenate([
+        np.full(2**14, 2.0**-15), np.full(2**14, 2.0**-16), np.full(2**15, 2.0**-17),
+    ])
+    return make_spectrum(base[(np.arange(LARGE_DIM) * 40503) % LARGE_DIM], normalize=False)
+
+
+def _large_spectrum():
+    # distinct coefficients in a scrambled order
+    c = 1.0 + (np.arange(LARGE_DIM) * 40503) % LARGE_DIM
+    return make_spectrum(c / c.sum(), normalize=False)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    # pytest's own diff of two long one-line strings takes minutes
+    if got != want:
+        i = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {i}: "
+                    f"{got[max(i - 40, 0):i + 40]!r} != {want[max(i - 40, 0):i + 40]!r}")
+
+
+@pytest.fixture(scope="module")
+def artefacts(tmp_path_factory):
+    """Every golden case as the bytes the current code writes."""
+    tmp = tmp_path_factory.mktemp("golden")
+    small, large = tmp / "small.json", tmp / "large.json"
+    io.write_spectrum(make_spectrum(SMALL), small)
+    io.write_spectrum(_large_outcome_spectrum(), large)
+    io.write_spectrum(_large_spectrum(), tmp / "spectrum-large.json")
+    runs = {
+        "concentrate": ["concentrate", "--spectrum", str(small), "--pref", "0.28"],
+        "concentrate-large": ["concentrate", "--spectrum", str(large),
+                              "--pref", repr(1.5 / LARGE_DIM)],
+        "fixedp": ["fixedp", "--spectrum", str(small), "--p", "0.7"],
+        "kthreshold": ["kthreshold", "--spectrum", str(small), "--kmin", "3.5", "--gap", "0.1"],
+        "sweep-json": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
+                       "--pref-grid", "0.26,0.28,0.32,0.4", "--format", "json"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp / f"{name}.json")]) == 0
+    out = {name: (tmp / f"{name}.json").read_bytes() for name in runs}
+    out["spectrum-small"] = small.read_bytes()
+    out["spectrum-large"] = (tmp / "spectrum-large.json").read_bytes()
+    return out, small
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_file_bytes_match_golden(artefacts, capsys, name):
+    files, small = artefacts
+    if name == "measures":
+        assert main(["measures", str(small)]) == 0
+        data = capsys.readouterr().out.encode("utf-8")
+    else:
+        data = files[name]
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+def test_stdout_matches_file(artefacts, capsys):
+    files, small = artefacts
+    assert main(["concentrate", "--spectrum", str(small), "--pref", "0.28"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == files["concentrate"]
+
+
+def test_non_finite_floats_render_null(tmp_path):
+    obj = {
+        "scalar": float("nan"),
+        "array": np.array([0.5, np.nan, np.inf, -np.inf, 2.0]),
+        "list": [np.inf, 1.0],
+        "mixed": [1, np.nan, "x", True, -np.inf],
+    }
+    path = tmp_path / "n.json"
+    io.write_json(obj, path)
+    assert path.read_bytes() == NON_FINITE
+    assert (reference_render(obj) + "\n").encode("utf-8") == NON_FINITE
+
+
+def test_pieces_match_reference_writer():
+    rng = np.random.default_rng(5)
+    n = 3 * io.FLOAT_CHUNK + 17
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[[0, io.FLOAT_CHUNK - 1, io.FLOAT_CHUNK, n - 1]] = [np.nan, np.inf, -np.inf, np.nan]
+    obj = {
+        "chunks": floats,
+        "exact_chunk": floats[: io.FLOAT_CHUNK],
+        "list": floats[:50].tolist(),
+        "tuple": tuple(floats[50:60].tolist()),
+        "float32": rng.standard_normal(20).astype(np.float32),
+        "float32_list": [np.float32(0.1), 0.2],
+        "ints": np.arange(5),
+        "matrix": rng.standard_normal((3, 4)),
+        "empty_array": np.array([]),
+        "empty_list": [],
+        "mixed": [1, 2.5, np.int64(3), np.float64(0.1), None, True, "a\"é", [0.5, 2]],
+        "nested": {"rows": [{"p": 0.25, "n": 2, "q": None}], "ok": False},
+        "scalar": np.float64(1 / 3),
+    }
+    assert_same_text("".join(io.json_pieces(obj)), reference_render(obj))
+    # brackets plus one piece per chunk: the text is streamed, not built whole
+    assert len(list(io.json_pieces(floats))) == 2 + 4
