@@ -2,9 +2,12 @@
 
 Floats are serialized with 17 significant digits, which round-trips IEEE
 doubles exactly; rereading a written file reproduces the values bit for bit.
-Non-finite floats are written as ``null``. JSON is written as a stream:
-a float array goes out in chunks of ``FLOAT_CHUNK`` values, so the text of
-a D-long outcome or spectrum is never held in memory at once.
+Non-finite floats are written as ``null``, and ``-0.0`` as ``-0``. JSON is
+written as a stream: a float array goes out in chunks of ``FLOAT_CHUNK``
+values, so the text of a D-long outcome or spectrum is never held in memory
+at once. Each distinct value in a chunk is formatted once, which changes no
+byte: an optimal plan's y is 1 on every uncropped coefficient, and its
+post-selected spectrum takes only a few values on the cropped ones.
 CSV uses '.' decimals, ',' separators, LF line endings and a mandatory
 header, so outputs diff cleanly across runs.
 """
@@ -64,10 +67,14 @@ def json_pieces(value):
         yield "["
         for start in range(0, floats.size, FLOAT_CHUNK):
             chunk = floats[start:start + FLOAT_CHUNK]
-            items = [format(v, ".17g") for v in chunk.tolist()]
-            for i in np.flatnonzero(~np.isfinite(chunk)):
+            # distinct bit patterns, not values, so -0.0 stays apart from 0.0
+            bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+            distinct = bits.view(np.float64)
+            text = "\n".join(["%.17g"] * distinct.size) % tuple(distinct.tolist())
+            items = text.split("\n")
+            for i in np.flatnonzero(~np.isfinite(distinct)):
                 items[i] = "null"
-            yield (", " if start else "") + ", ".join(items)
+            yield (", " if start else "") + ", ".join(map(items.__getitem__, inverse.tolist()))
         yield "]"
     elif isinstance(value, dict):
         yield "{"

@@ -37,6 +37,7 @@ from .errors import (
     DimensionTooLargeError,
     DivisionByZeroGuardError,
     NotPSDError,
+    OutOfRangeError,
     SchmidtForgeError,
     SpectralBoundViolatedError,
 )
@@ -589,6 +590,10 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
     """Run the oracle suites against the planners on random instances."""
     from .sampling import SampleSpec, sample_haar_spectrum
 
+    if dim_max < MIN_VALIDATION_DIM:
+        raise OutOfRangeError(
+            f"dim_max must be at least MIN_VALIDATION_DIM = {MIN_VALIDATION_DIM}, got {dim_max}"
+        )
     dim_max = min(dim_max, MAX_ENUM_DIM)
     rng = np.random.default_rng(seed)
     results: list[ValidationResult] = []

@@ -8,6 +8,7 @@ out the same when summed sequentially, in reverse, pairwise and by
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from schmidt_forge.cli import main
 from helpers import reference_render
 
 SMALL = [0.5, 0.25, 0.125, 0.125]
+SIGNED_ZERO = [0.5, -0.0, 0.0, 0.5]
 LARGE_DIM = 2**16
 
 GOLDEN = {
@@ -25,6 +27,7 @@ GOLDEN = {
     "spectrum-large": "30f9d1cda663f175eab46c7c5e3dfdff19ac78a04c2e592f32503e88e74974e4",
     "concentrate": "3cc8e2abfd437329f9836196ed7160cde1c569bfc3508725e7036c2ccec7413e",
     "concentrate-large": "a648b6b92703fdf6353aa0d83a503ca0c07b2b80704126f89996cd38a373c738",
+    "concentrate-signed-zero": "12a44a48c5be0bbff7dcf0408a3e6c9df6b1d6681019da27c064f402077400e1",
     "fixedp": "09661b102b67b96ee480b5da5c9be1cf6a7313b3d640ab200372b4cfc922e074",
     "kthreshold": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
     "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
@@ -66,12 +69,17 @@ def artefacts(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
     small, large = tmp / "small.json", tmp / "large.json"
     io.write_spectrum(make_spectrum(SMALL), small)
+    # written by json, so the input keeps -0.0 apart from 0.0 whatever io does
+    signed_zero = tmp / "signed-zero.json"
+    signed_zero.write_text(json.dumps({"dim": 4, "squared_coefficients": SIGNED_ZERO}))
     io.write_spectrum(_large_outcome_spectrum(), large)
     io.write_spectrum(_large_spectrum(), tmp / "spectrum-large.json")
     runs = {
         "concentrate": ["concentrate", "--spectrum", str(small), "--pref", "0.28"],
         "concentrate-large": ["concentrate", "--spectrum", str(large),
                               "--pref", repr(1.5 / LARGE_DIM)],
+        "concentrate-signed-zero": ["concentrate", "--spectrum", str(signed_zero),
+                                    "--pref", "0.5"],
         "fixedp": ["fixedp", "--spectrum", str(small), "--p", "0.7"],
         "kthreshold": ["kthreshold", "--spectrum", str(small), "--kmin", "3.5", "--gap", "0.1"],
         "sweep-json": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
@@ -138,3 +146,28 @@ def test_pieces_match_reference_writer():
     assert_same_text("".join(io.json_pieces(obj)), reference_render(obj))
     # brackets plus one piece per chunk: the text is streamed, not built whole
     assert len(list(io.json_pieces(floats))) == 2 + 4
+
+
+def _repeat_cases():
+    """Arrays whose chunks repeat values, as an optimal plan's y and
+    post-selected spectrum do; the last chunk of a D = FLOAT_CHUNK + 1 array
+    holds one value."""
+    rng = np.random.default_rng(7)
+    values = [0.0, -0.0, 1.0, 0.1, 2.0**-30, np.nan, np.inf, -np.inf]
+    floats = rng.choice(values, size=3 * io.FLOAT_CHUNK + 5)
+    return {
+        "signed_zeros": np.array([0.0, -0.0, 0.5, -0.0, 0.0, 1.0, -0.0]),
+        "all_ones": np.ones(io.FLOAT_CHUNK + 1),
+        "all_repeat_tail": np.full(io.FLOAT_CHUNK + 1, 0.1),
+        "non_finite_repeats": np.tile([np.nan, 0.25, np.inf, 0.25, -np.inf, 3.0, np.nan, -0.0], 9),
+        "chunks_of_repeats": floats,
+        "strided": floats[::3],
+        "float32_repeats": np.tile(np.array([0.1, -0.0, 0.1, 2.5, 0.0], dtype=np.float32), 7),
+        "repeat_list": [0.5, -0.0, 0.5, 0.0, float("nan"), 0.5],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_repeat_cases()))
+def test_repeated_values_match_reference_writer(name):
+    value = _repeat_cases()[name]
+    assert_same_text("".join(io.json_pieces(value)), reference_render(value))

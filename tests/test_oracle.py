@@ -22,9 +22,11 @@ from schmidt_forge.errors import (
     DimensionTooLargeError,
     DivisionByZeroGuardError,
     NotPSDError,
+    OutOfRangeError,
     SpectralBoundViolatedError,
 )
 from schmidt_forge.oracle import (
+    MIN_VALIDATION_DIM,
     prefix_scan_efficiency,
     prefix_scan_fixed,
     sample_psd_contraction,
@@ -300,6 +302,11 @@ class TestValidationDriver:
         names = {r.name for r in results}
         assert "efficiency-vs-enumeration" in names
         assert "duality" in names
+
+    @pytest.mark.parametrize("dim_max", [MIN_VALIDATION_DIM - 1, 0, -5])
+    def test_dim_max_below_minimum_is_typed_error(self, dim_max):
+        with pytest.raises(OutOfRangeError, match="MIN_VALIDATION_DIM = 3"):
+            run_validation(dim_max=dim_max, instances=1)
 
 
 class TestPrefixScanAtScale:
