@@ -20,7 +20,7 @@ from .errors import OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import default_xi_grid, interpolate
 from .oracle import MAX_ENUM_DIM, MIN_VALIDATION_DIM, run_validation
-from .sampling import SampleSpec, sample_haar_spectrum
+from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 
 INTERP_COLUMNS = ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"]
@@ -127,16 +127,14 @@ def _cmd_concentrate(args) -> int:
     s = io.read_spectrum(args.spectrum)
     ref = _reference_from_args(args, s.dim)
     outcome = optimal_plan_efficiency(s, ref)
-    record = io.OutcomeRecord.from_outcome(outcome, "efficiency", ref.p_ref)
-    _emit(record.to_dict(), args.out)
+    _emit(io.outcome_dict(outcome, "efficiency", ref.p_ref), args.out)
     return 0
 
 
 def _cmd_fixedp(args) -> int:
     s = io.read_spectrum(args.spectrum)
     outcome = optimal_plan_fixed(s, FixedProbRequest(args.p))
-    record = io.OutcomeRecord.from_outcome(outcome, "fixedprob", args.p)
-    _emit(record.to_dict(), args.out)
+    _emit(io.outcome_dict(outcome, "fixedprob", args.p), args.out)
     return 0
 
 
@@ -196,8 +194,7 @@ def _cmd_kthreshold(args) -> int:
         raise OutOfRangeError(f"threshold Schmidt number {k_thr!r} below 1")
     ref = reference_from("k_ref", k_thr, s.dim)
     outcome = optimal_plan_efficiency(s, ref)
-    record = io.OutcomeRecord.from_outcome(outcome, "efficiency", ref.p_ref)
-    _emit(record.to_dict(), args.out)
+    _emit(io.outcome_dict(outcome, "efficiency", ref.p_ref), args.out)
     return 0
 
 
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_measures)
 
     p = sub.add_parser("sample", help="write random spectra")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"at most {MAX_SAMPLE_DIM}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -245,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a reference grid, write a table")
     p.add_argument("--spectrum", default=None)
-    p.add_argument("--dim", type=int, default=None, help="sample a spectrum instead of reading one")
+    p.add_argument(
+        "--dim", type=int, default=None,
+        help=f"sample a spectrum instead of reading one (at most {MAX_SAMPLE_DIM})",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("efficiency", "fixedprob", "interp"), required=True)
     p.add_argument("--pref-grid", default=None, help="log:a:b:n | lin:a:b:n | v1,v2,...")

@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
-from .spectrum import Measures, SchmidtSpectrum, measures
+from .spectrum import Measures, SchmidtSpectrum, _frozen_array, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -93,27 +93,24 @@ def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
 
 @dataclass(frozen=True, eq=False)
 class ConcentrationPlan:
-    """A diagonal filtering plan.
+    """A diagonal filtering plan, fixed by one water level.
 
-    ``y`` holds the squared Kraus weights (original index order), ``z`` their
-    positive square roots, and ``x = a^2 * y`` the unnormalized
-    post-concentration coefficients. ``cropped_indices`` are the original
-    indices with a_m^2 >= ``crop_level``, whose x is that level; everywhere
-    else x_m = a_m^2. Globally x_m = min(a_m^2, crop_level).
+    ``y`` holds the squared Kraus weights (original index order) and
+    ``x = a^2 * y`` the unnormalized post-concentration coefficients, so
+    x_m = min(a_m^2, ``crop_level``) <= a_m^2. ``n_opt`` counts the cut
+    coefficients: whenever n_opt > 0 the crop is {m : a_m^2 >= ``crop_level``},
+    where y_m = crop_level / a_m^2, and y_m = 1 elsewhere. The identity plan
+    has n_opt = 0, y = 1 and the level max a^2.
     """
 
     y: np.ndarray
-    z: np.ndarray
     x: np.ndarray
     n_opt: int
     crop_level: float
-    cropped_indices: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("y", "z", "x"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in ("y", "x"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,32 +149,13 @@ def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
     return _scale(s.dim) * (ref.p_ref * total * total - float(np.dot(x, x)))
 
 
-def _identity_plan(s: SchmidtSpectrum) -> ConcentrationPlan:
-    ones = np.ones(s.dim)
-    return ConcentrationPlan(
-        y=ones,
-        z=ones,
-        x=s.sq_coeffs.copy(),
-        n_opt=0,
-        crop_level=float(np.max(s.sq_coeffs)),  # a no-op cap: min(a^2, level) = a^2
-        cropped_indices=(),
-    )
-
-
-def _level_plan(s: SchmidtSpectrum, level: float) -> ConcentrationPlan:
-    """The plan x = min(a^2, level), in the original index order."""
-    sq = s.sq_coeffs
-    crop = sq >= level
+def _level_plan(s: SchmidtSpectrum, level: float, crop: np.ndarray) -> ConcentrationPlan:
+    """The plan that cuts the coefficients of the mask ``crop`` down to ``level``."""
     # y = level / a^2 <= 1 on the crop, so x = a^2 * y never exceeds a^2;
     # untouched coefficients, zeros included, keep y = 1 exactly
-    y = np.divide(level, sq, out=np.ones(s.dim), where=crop)
+    y = np.divide(level, s.sq_coeffs, out=np.ones(s.dim), where=crop)
     return ConcentrationPlan(
-        y=y,
-        z=np.sqrt(y),
-        x=sq * y,
-        n_opt=int(np.count_nonzero(crop)),
-        crop_level=float(level),
-        cropped_indices=tuple(np.flatnonzero(crop).tolist()),
+        y=y, x=s.sq_coeffs * y, n_opt=int(np.count_nonzero(crop)), crop_level=float(level)
     )
 
 
@@ -189,8 +167,9 @@ def _outcome_from_plan(
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
-def _efficiency_level(sq: np.ndarray, p_ref: float) -> float:
-    """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < max a^2.
+def _efficiency_level(sq: np.ndarray, p_ref: float) -> tuple[float, np.ndarray]:
+    """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < max a^2,
+    and its crop mask a^2 >= L.
 
     Where the n coefficients at or above L are cut and beta is the weight
     below L, the equation is linear with root P_ref * beta / (1 - n * P_ref).
@@ -206,7 +185,7 @@ def _efficiency_level(sq: np.ndarray, p_ref: float) -> float:
         n = int(np.count_nonzero(crop))
         beta = float(np.sum(sq[~crop]))
         if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
-            return level
+            return level, crop
         level = p_ref * beta / (1.0 - n * p_ref)
         n_prev = n
 
@@ -214,9 +193,10 @@ def _efficiency_level(sq: np.ndarray, p_ref: float) -> float:
 def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> ConcentrationOutcome:
     """Globally maximize the efficiency payoff over all diagonal plans.
 
-    At the minimum reference purity P_ref = 1/D this is standard
-    concentration: every coefficient is pulled down to the smallest one
-    (z_m = a_min/a_m), the post state is maximally entangled and
+    Every plan is one water level L, x_m = min(a_m^2, L). At the minimum
+    reference purity P_ref = 1/D this is standard concentration: L = a_min^2,
+    so every coefficient is pulled down to the smallest one
+    (y_m = a_min^2/a_m^2), the post state is maximally entangled and
     p_success = D * a_min^2.
 
     For P_ref >= max a^2 the identity plan (keep the state) is optimal and
@@ -238,15 +218,7 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
             raise RankDeficientFullConcentrationError(
                 "full concentration needs every coefficient positive"
             )
-        y = amin / s.sq_coeffs
-        plan = ConcentrationPlan(
-            y=y,
-            z=np.sqrt(y),
-            x=np.full(d, amin),
-            n_opt=d,
-            crop_level=amin,
-            cropped_indices=tuple(range(d)),
-        )
+        plan = _level_plan(s, amin, np.ones(d, dtype=bool))
         post = SchmidtSpectrum(d, np.full(d, 1.0 / d))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
@@ -260,13 +232,15 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
         )
 
     sq = s.sq_coeffs
-    if p_ref >= float(np.max(sq)):
-        return _outcome_from_plan(s, _identity_plan(s), _scale(d) * (p_ref - float(sq @ sq)))
+    top = float(np.max(sq))
+    if p_ref >= top:
+        identity = _level_plan(s, top, np.zeros(d, dtype=bool))
+        return _outcome_from_plan(s, identity, _scale(d) * (p_ref - float(sq @ sq)))
 
-    level = _efficiency_level(sq, p_ref)
-    rest = sq[sq < level]
+    level, crop = _efficiency_level(sq, p_ref)
+    rest = sq[~crop]
     q = _scale(d) * (level * float(np.sum(rest)) - float(rest @ rest))
-    return _outcome_from_plan(s, _level_plan(s, level), q)
+    return _outcome_from_plan(s, _level_plan(s, level, crop), q)
 
 
 def apply_plan(

@@ -64,7 +64,7 @@ class InfeasibleError(SchmidtForgeError):
 
 
 class DimensionTooLargeError(SchmidtForgeError):
-    """Exhaustive enumeration was requested above its cost guard."""
+    """Exhaustive enumeration or sampling was requested above its cost guard."""
 
 
 class NotPSDError(SchmidtForgeError):

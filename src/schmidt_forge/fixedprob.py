@@ -18,7 +18,6 @@ from .efficiency import (
     FEAS_TOL,
     ConcentrationOutcome,
     ReferenceLevel,
-    _identity_plan,
     _level_plan,
     _outcome_from_plan,
     optimal_plan_efficiency,
@@ -38,8 +37,9 @@ class FixedProbRequest:
             raise PFixOutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
-def _fixed_level(sq: np.ndarray, p_fix: float) -> float:
-    """Root kappa of sum_m min(a_m^2, kappa) = p_fix, for 0 < p_fix < sum a^2.
+def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray]:
+    """Root kappa of sum_m min(a_m^2, kappa) = p_fix, for 0 < p_fix < sum a^2,
+    and its crop mask a^2 >= kappa.
 
     Where the n coefficients at or above kappa are cut and beta is the weight
     below kappa, the equation is linear with root (p_fix - beta) / n. That
@@ -53,7 +53,7 @@ def _fixed_level(sq: np.ndarray, p_fix: float) -> float:
         crop = sq >= level
         n = int(np.count_nonzero(crop))
         if not 0 < n < n_prev:
-            return level
+            return level, crop
         level = (p_fix - float(np.sum(sq[~crop]))) / n
         n_prev = n
 
@@ -71,8 +71,10 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     """
     p_fix = float(req.p_fix)
     if p_fix >= float(np.sum(s.sq_coeffs)):
-        return _outcome_from_plan(s, _identity_plan(s), None)
-    return _outcome_from_plan(s, _level_plan(s, _fixed_level(s.sq_coeffs, p_fix)), None)
+        plan = _level_plan(s, float(np.max(s.sq_coeffs)), np.zeros(s.dim, dtype=bool))
+    else:
+        plan = _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix))
+    return _outcome_from_plan(s, plan, None)
 
 
 def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -> bool:

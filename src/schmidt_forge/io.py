@@ -143,14 +143,30 @@ def read_spectrum(path) -> SchmidtSpectrum:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
+def outcome_dict(outcome: ConcentrationOutcome, mode: str, ref_value: float) -> dict:
+    """The JSON object of an outcome. ``mode`` selects the leading field
+    name: ``p_ref`` for efficiency outcomes, ``p_fix`` for fixed-probability
+    ones."""
+    m = outcome.post_measures
+    return {
+        OUTCOME_MODES[mode]: float(ref_value),
+        "n_opt": outcome.plan.n_opt,
+        "crop_level": outcome.plan.crop_level,
+        "y": outcome.plan.y,
+        "p_success": outcome.p_success,
+        "post_spectrum": outcome.post_spectrum.sq_coeffs,
+        "purity": m.purity,
+        "schmidt_number": m.schmidt_number,
+        "concurrence_sq": m.concurrence_sq,
+        "q_value": outcome.q_value,
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeRecord:
-    """Flat, serialization-ready view of a concentration outcome.
-
-    ``mode`` selects the leading JSON field name: ``p_ref`` for efficiency
-    outcomes, ``p_fix`` for fixed-probability ones. ``y`` and
-    ``post_spectrum`` are read-only float arrays.
-    """
+    """An outcome file read back: the fields of ``outcome_dict``, with the
+    mode recovered from the leading field name. ``y`` and ``post_spectrum``
+    are read-only float arrays."""
 
     mode: str
     ref_value: float
@@ -164,57 +180,15 @@ class OutcomeRecord:
     concurrence_sq: float
     q_value: float | None
 
-    def __post_init__(self):
-        for name in ("y", "post_spectrum"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-
-    @classmethod
-    def from_outcome(cls, outcome: ConcentrationOutcome, mode: str, ref_value: float):
-        if mode not in OUTCOME_MODES:
-            raise ValueError(f"unknown outcome mode {mode!r}")
-        return cls(
-            mode=mode,
-            ref_value=float(ref_value),
-            n_opt=outcome.plan.n_opt,
-            crop_level=outcome.plan.crop_level,
-            y=outcome.plan.y,
-            p_success=outcome.p_success,
-            post_spectrum=outcome.post_spectrum.sq_coeffs,
-            purity=outcome.post_measures.purity,
-            schmidt_number=outcome.post_measures.schmidt_number,
-            concurrence_sq=outcome.post_measures.concurrence_sq,
-            q_value=outcome.q_value,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            OUTCOME_MODES[self.mode]: self.ref_value,
-            "n_opt": self.n_opt,
-            "crop_level": self.crop_level,
-            "y": self.y,
-            "p_success": self.p_success,
-            "post_spectrum": self.post_spectrum,
-            "purity": self.purity,
-            "schmidt_number": self.schmidt_number,
-            "concurrence_sq": self.concurrence_sq,
-            "q_value": self.q_value,
-        }
-
-
-def write_outcome(record: OutcomeRecord, path) -> None:
-    write_json(record.to_dict(), path)
-
 
 def read_outcome(path) -> OutcomeRecord:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    if "p_ref" in data:
-        mode, key = "efficiency", "p_ref"
-    elif "p_fix" in data:
-        mode, key = "fixedprob", "p_fix"
-    else:
+    mode = next((m for m, key in OUTCOME_MODES.items() if key in data), None)
+    if mode is None:
         raise SchemaError(f"{path}: neither p_ref nor p_fix present")
+    key = OUTCOME_MODES[mode]
     required = {
         key, "n_opt", "crop_level", "y", "p_success", "post_spectrum",
         "purity", "schmidt_number", "concurrence_sq", "q_value",
@@ -228,9 +202,9 @@ def read_outcome(path) -> OutcomeRecord:
             ref_value=float(data[key]),
             n_opt=int(data["n_opt"]),
             crop_level=float(data["crop_level"]),
-            y=tuple(float(v) for v in data["y"]),
+            y=_frozen_array([float(v) for v in data["y"]]),
             p_success=float(data["p_success"]),
-            post_spectrum=tuple(float(v) for v in data["post_spectrum"]),
+            post_spectrum=_frozen_array([float(v) for v in data["post_spectrum"]]),
             purity=float(data["purity"]),
             schmidt_number=float(data["schmidt_number"]),
             concurrence_sq=float(data["concurrence_sq"]),

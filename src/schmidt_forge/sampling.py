@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionTooLargeError
 from .spectrum import SchmidtSpectrum
+
+#: largest sampled dimension: a draw holds D x D complex matrices (16 * D^2
+#: bytes each) and costs O(D^3), about 4 s at D = 2048 on two cores
+MAX_SAMPLE_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
+        if self.dim > MAX_SAMPLE_DIM:
+            raise DimensionTooLargeError(f"dim={self.dim} above the cap {MAX_SAMPLE_DIM}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not 0 <= self.seed < 2**64:

@@ -12,6 +12,7 @@ from schmidt_forge import (
     optimal_plan_fixed,
 )
 from schmidt_forge.cli import main, parse_grid
+from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 from helpers import haar
 
@@ -65,6 +66,18 @@ class TestSampleCommand:
         # every written file parses back
         for f in files1:
             io.read_spectrum(f)
+
+    def test_dimension_above_cap_exits_one(self, tmp_path, capsys):
+        # refused before any D x D matrix is allocated or any file written
+        too_big = str(MAX_SAMPLE_DIM + 1)
+        out = tmp_path / "s"
+        assert main(["sample", "--dim", too_big, "--seed", "0", "--count", "1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert main(["sweep", "--dim", too_big, "--mode", "interp", "--xi-grid", "0.5",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert not (tmp_path / "x.csv").exists()
+        assert capsys.readouterr().err.count("DimensionTooLargeError") == 2
 
 
 class TestInterpCommand:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from schmidt_forge import (
@@ -110,14 +110,14 @@ class TestOptimalPlan:
             out.post_spectrum.sq_coeffs, [0.3, 0.3, 4 / 15, 2 / 15], atol=1e-12
         )
         assert out.q_value == pytest.approx(0.0233333333333333, abs=1e-12)
-        assert out.plan.cropped_indices == (0, 1)
+        assert np.array_equal(np.flatnonzero(s.sq_coeffs >= out.plan.crop_level), [0, 1])
 
     def test_identity_wins_at_high_reference_purity(self):
         s = make_spectrum(WORKED)
         out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.9))
         assert out.plan.n_opt == 0
-        assert out.plan.cropped_indices == ()
         assert np.array_equal(out.plan.y, np.ones(4))
+        assert np.array_equal(out.plan.x, s.sq_coeffs)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.q_value == pytest.approx(0.8, abs=1e-12)
 
@@ -182,11 +182,9 @@ class TestApplyPlan:
         base = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3)).plan
         plan = type(base)(
             y=np.array([0.5, 2 / 3, 1.0, 1.0]),
-            z=np.sqrt([0.5, 2 / 3, 1.0, 1.0]),
             x=s.sq_coeffs * [0.5, 2 / 3, 1.0, 1.0],
             n_opt=3,
             crop_level=0.2,
-            cropped_indices=(0, 1, 2),
         )
         out = apply_plan(s, plan)
         assert out.p_success == pytest.approx(0.7, abs=1e-12)
@@ -204,6 +202,10 @@ class TestApplyPlan:
 
 class TestPlanInvariants:
     @given(spectra(min_dim=3, max_dim=10), st.floats(0.0, 1.0))
+    # standard concentration (u = 0) on a spectrum where a^2 * (a_min^2 / a^2)
+    # rounds away from a_min^2, and the identity plan (P_ref = 1)
+    @example(make_spectrum([0.7, 0.29, 0.01]), 0.0)
+    @example(make_spectrum(WORKED), 1.0)
     def test_structure(self, s, u):
         d = s.dim
         ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
@@ -213,12 +215,19 @@ class TestPlanInvariants:
         # box and no zeros
         assert np.all(plan.y > 0.0)
         assert np.all(plan.y <= 1.0 + 1e-12)
-        # x consistency and the global cap form x = min(a^2, crop_level)
-        assert np.allclose(plan.x, sq * plan.y, atol=1e-12)
+        # x = a^2 * y exactly, never above a^2, and the global cap form
+        # x = min(a^2, crop_level)
+        assert np.array_equal(plan.x, sq * plan.y)
+        assert np.all(plan.x <= sq)
         assert np.allclose(plan.x, np.minimum(sq, plan.crop_level), atol=1e-11)
         # cropped set = the n_opt largest under the stable descending sort
         _, perm = sort_descending(s)
-        assert plan.cropped_indices == tuple(sorted(perm[: plan.n_opt]))
+        if plan.n_opt > 0:
+            assert np.array_equal(
+                np.flatnonzero(sq >= plan.crop_level), np.sort(perm[: plan.n_opt])
+            )
+        else:
+            assert np.all(plan.y == 1.0)
         # outcome wiring
         assert out.p_success == pytest.approx(float(sq @ plan.y), abs=1e-12)
         assert np.allclose(

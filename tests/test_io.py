@@ -71,31 +71,29 @@ class TestOutcomeRoundTrip:
     def test_efficiency_outcome(self, tmp_path):
         s = make_spectrum(WORKED)
         out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3))
-        record = io.OutcomeRecord.from_outcome(out, "efficiency", 0.3)
         path = tmp_path / "o.json"
-        io.write_outcome(record, path)
+        io.write_json(io.outcome_dict(out, "efficiency", 0.3), path)
         back = io.read_outcome(path)
         assert back.mode == "efficiency"
         assert back.ref_value == 0.3
-        assert back.n_opt == record.n_opt
-        assert np.array_equal(back.y, record.y)
-        assert np.array_equal(back.post_spectrum, record.post_spectrum)
-        assert back.q_value == record.q_value
+        assert back.n_opt == out.plan.n_opt
+        assert np.array_equal(back.y, out.plan.y)
+        assert np.array_equal(back.post_spectrum, out.post_spectrum.sq_coeffs)
+        assert back.q_value == out.q_value
         assert '"p_ref"' in path.read_text()
 
     def test_fixedprob_outcome_null_q(self, tmp_path):
         s = make_spectrum(WORKED)
         out = optimal_plan_fixed(s, FixedProbRequest(0.7))
-        record = io.OutcomeRecord.from_outcome(out, "fixedprob", 0.7)
         path = tmp_path / "o.json"
-        io.write_outcome(record, path)
+        io.write_json(io.outcome_dict(out, "fixedprob", 0.7), path)
         text = path.read_text()
         assert '"p_fix"' in text
         assert '"q_value": null' in text
         back = io.read_outcome(path)
         assert back.mode == "fixedprob"
         assert back.q_value is None
-        assert back.purity == record.purity
+        assert back.purity == out.post_measures.purity
 
     def test_unknown_mode_schema_error(self, tmp_path):
         path = tmp_path / "o.json"

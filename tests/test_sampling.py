@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from schmidt_forge import SampleSpec, measures, sample_haar_spectrum
+from schmidt_forge.errors import DimensionTooLargeError
+from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 
 class TestSampleSpec:
@@ -14,6 +16,12 @@ class TestSampleSpec:
             SampleSpec(dim=4, seed=-1, count=1)
         with pytest.raises(ValueError):
             SampleSpec(dim=4, seed=2**64, count=1)
+
+    def test_dimension_cap(self):
+        # the spec is refused before anything is drawn or allocated
+        assert SampleSpec(dim=MAX_SAMPLE_DIM, seed=0, count=1).dim == MAX_SAMPLE_DIM
+        with pytest.raises(DimensionTooLargeError):
+            SampleSpec(dim=MAX_SAMPLE_DIM + 1, seed=0, count=1)
 
 
 class TestSampling:
