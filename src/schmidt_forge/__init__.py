@@ -18,17 +18,6 @@ from .efficiency import (
 from .errors import SchmidtForgeError
 from .fixedprob import FixedProbRequest, duality_check, optimal_plan_fixed
 from .interp import InterpPoint, default_xi_grid, interp_sweep, interpolate
-from .oracle import (
-    Configuration,
-    OracleReport,
-    appendix_a_check,
-    appendix_b_check,
-    enumerate_configurations,
-    enumerate_fixed_configurations,
-    numeric_qp_ascent,
-    relative_diffs,
-    run_validation,
-)
 from .sampling import SampleSpec, sample_haar_spectrum
 from .spectrum import (
     Measures,
@@ -73,3 +62,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: names of the oracle module, imported on first use: only ``validate`` and
+#: the tests need them, and every CLI start would pay for the import
+_ORACLE_NAMES = frozenset({
+    "Configuration", "OracleReport", "appendix_a_check", "appendix_b_check",
+    "enumerate_configurations", "enumerate_fixed_configurations", "numeric_qp_ascent",
+    "relative_diffs", "run_validation",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

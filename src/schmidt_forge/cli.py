@@ -16,10 +16,9 @@ import numpy as np
 
 from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
-from .errors import OutOfRangeError, SchmidtForgeError
+from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import default_xi_grid, interpolate
-from .oracle import MAX_ENUM_DIM, MIN_VALIDATION_DIM, run_validation
 from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 
@@ -32,6 +31,14 @@ FIXEDPROB_COLUMNS = [
 ]
 #: the grid option each sweep mode reads
 SWEEP_GRID_OPTIONS = {"efficiency": "pref_grid", "fixedprob": "pfix_grid", "interp": "xi_grid"}
+
+
+def positive_int(text: str) -> int:
+    """An option value that counts something: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _grid_token(token: str, dim: int) -> float:
@@ -177,6 +184,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .oracle import run_validation  # the only command that needs the oracles
+
     results = run_validation(dim_max=args.dim_max, instances=args.instances, seed=args.seed)
     failed = 0
     for r in results:
@@ -221,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interp", help="interpolation-baseline sweep to CSV")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--grid-points", type=int, default=101)
+    p.add_argument("--grid-points", type=positive_int, default=101)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_interp)
 
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest dimension of the random instances (at least {MIN_VALIDATION_DIM}; "
              f"capped at {MAX_ENUM_DIM})",
     )
-    p.add_argument("--instances", type=int, default=500)
+    p.add_argument("--instances", type=positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
 

@@ -145,31 +145,32 @@ def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({s.dim},)")
     _check_box(y)
     x = s.sq_coeffs * y
-    total = float(np.sum(x))
+    total = float(np.add.reduce(x))
     return _scale(s.dim) * (ref.p_ref * total * total - float(np.dot(x, x)))
 
 
-def _level_plan(s: SchmidtSpectrum, level: float, crop: np.ndarray) -> ConcentrationPlan:
-    """The plan that cuts the coefficients of the mask ``crop`` down to ``level``."""
+def _level_plan(s: SchmidtSpectrum, level: float, crop: np.ndarray, n: int) -> ConcentrationPlan:
+    """The plan that cuts the ``n`` coefficients of the mask ``crop`` down to ``level``."""
     # y = level / a^2 <= 1 on the crop, so x = a^2 * y never exceeds a^2;
     # untouched coefficients, zeros included, keep y = 1 exactly
     y = np.divide(level, s.sq_coeffs, out=np.ones(s.dim), where=crop)
-    return ConcentrationPlan(
-        y=y, x=s.sq_coeffs * y, n_opt=int(np.count_nonzero(crop)), crop_level=float(level)
-    )
+    return ConcentrationPlan(y=y, x=s.sq_coeffs * y, n_opt=n, crop_level=float(level))
 
 
 def _outcome_from_plan(
     s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
 ) -> ConcentrationOutcome:
-    p_success = float(np.sum(plan.x))
+    p_success = float(np.add.reduce(plan.x))
     post = SchmidtSpectrum(s.dim, plan.x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
-def _efficiency_level(sq: np.ndarray, p_ref: float) -> tuple[float, np.ndarray]:
-    """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < max a^2,
-    and its crop mask a^2 >= L.
+def _efficiency_level(
+    sq: np.ndarray, p_ref: float, top: float
+) -> tuple[float, np.ndarray, int, np.ndarray, float]:
+    """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < top = max a^2,
+    with its crop mask a^2 >= L, the crop size n, the uncut coefficients
+    a^2 < L and their sum beta.
 
     Where the n coefficients at or above L are cut and beta is the weight
     below L, the equation is linear with root P_ref * beta / (1 - n * P_ref).
@@ -178,14 +179,17 @@ def _efficiency_level(sq: np.ndarray, p_ref: float) -> tuple[float, np.ndarray]:
     of the whole support (beta = 0), or one at the curvature bound
     n * P_ref >= 1, has no positive root on its piece and keeps its level.
     """
-    level = float(np.max(sq))
+    level = top
     n_prev = 0
     while True:
-        crop = sq >= level
-        n = int(np.count_nonzero(crop))
-        beta = float(np.sum(sq[~crop]))
+        # the coefficients and every level are finite, so a^2 < L is
+        # exactly the complement of the crop a^2 >= L
+        below = sq < level
+        rest = sq[below]
+        n = sq.size - rest.size
+        beta = float(np.add.reduce(rest))
         if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
-            return level, crop
+            return level, ~below, n, rest, beta
         level = p_ref * beta / (1.0 - n * p_ref)
         n_prev = n
 
@@ -218,7 +222,7 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
             raise RankDeficientFullConcentrationError(
                 "full concentration needs every coefficient positive"
             )
-        plan = _level_plan(s, amin, np.ones(d, dtype=bool))
+        plan = _level_plan(s, amin, np.ones(d, dtype=bool), d)
         post = SchmidtSpectrum(d, np.full(d, 1.0 / d))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
@@ -232,15 +236,14 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
         )
 
     sq = s.sq_coeffs
-    top = float(np.max(sq))
+    top = float(np.maximum.reduce(sq))
     if p_ref >= top:
-        identity = _level_plan(s, top, np.zeros(d, dtype=bool))
+        identity = _level_plan(s, top, np.zeros(d, dtype=bool), 0)
         return _outcome_from_plan(s, identity, _scale(d) * (p_ref - float(sq @ sq)))
 
-    level, crop = _efficiency_level(sq, p_ref)
-    rest = sq[~crop]
-    q = _scale(d) * (level * float(np.sum(rest)) - float(rest @ rest))
-    return _outcome_from_plan(s, _level_plan(s, level, crop), q)
+    level, crop, n, rest, beta = _efficiency_level(sq, p_ref, top)
+    q = _scale(d) * (level * beta - float(rest @ rest))
+    return _outcome_from_plan(s, _level_plan(s, level, crop, n), q)
 
 
 def apply_plan(
@@ -259,7 +262,7 @@ def apply_plan(
         )
     _check_box(y)
     x = s.sq_coeffs * y
-    p_success = float(np.sum(x))
+    p_success = float(np.add.reduce(x))
     if p_success <= 0.0:
         raise InfeasibleError("plan has zero success probability")
     post = SchmidtSpectrum(s.dim, x / p_success)

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and input guards shared across the package.
 
 Every domain error derives from :class:`SchmidtForgeError` so callers (and the
 CLI) can catch one base class and report the concrete error name.
 """
+
+#: largest dimension exhaustive enumeration accepts
+MAX_ENUM_DIM = 14
+#: smallest dimension ``oracle.run_validation`` draws
+MIN_VALIDATION_DIM = 3
 
 
 class SchmidtForgeError(Exception):

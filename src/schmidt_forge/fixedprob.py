@@ -37,9 +37,9 @@ class FixedProbRequest:
             raise PFixOutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
-def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray]:
+def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray, int]:
     """Root kappa of sum_m min(a_m^2, kappa) = p_fix, for 0 < p_fix < sum a^2,
-    and its crop mask a^2 >= kappa.
+    with its crop mask a^2 >= kappa and the crop size n.
 
     Where the n coefficients at or above kappa are cut and beta is the weight
     below kappa, the equation is linear with root (p_fix - beta) / n. That
@@ -50,11 +50,13 @@ def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray]:
     level = p_fix / sq.size
     n_prev = sq.size + 1
     while True:
-        crop = sq >= level
-        n = int(np.count_nonzero(crop))
+        # the coefficients and every level are finite, so a^2 < kappa is
+        # exactly the complement of the crop a^2 >= kappa
+        below = sq < level
+        n = sq.size - int(np.count_nonzero(below))
         if not 0 < n < n_prev:
-            return level, crop
-        level = (p_fix - float(np.sum(sq[~crop]))) / n
+            return level, ~below, n
+        level = (p_fix - float(np.add.reduce(sq[below]))) / n
         n_prev = n
 
 
@@ -70,10 +72,11 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     problem.
     """
     p_fix = float(req.p_fix)
-    if p_fix >= float(np.sum(s.sq_coeffs)):
-        plan = _level_plan(s, float(np.max(s.sq_coeffs)), np.zeros(s.dim, dtype=bool))
+    sq = s.sq_coeffs
+    if p_fix >= float(np.add.reduce(sq)):
+        plan = _level_plan(s, float(np.maximum.reduce(sq)), np.zeros(s.dim, dtype=bool), 0)
     else:
-        plan = _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix))
+        plan = _level_plan(s, *_fixed_level(sq, p_fix))
     return _outcome_from_plan(s, plan, None)
 
 

@@ -141,6 +141,8 @@ def read_spectrum(path) -> SchmidtSpectrum:
         raise SchemaError(f"{path}: NotNormalized: {exc}") from exc
     except SchmidtForgeError as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # an entry that is not a number
+        raise SchemaError(f"{path}: malformed coefficient: {exc}") from exc
 
 
 def outcome_dict(outcome: ConcentrationOutcome, mode: str, ref_value: float) -> dict:

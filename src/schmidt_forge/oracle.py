@@ -33,6 +33,8 @@ from .efficiency import (
     optimal_plan_efficiency,
 )
 from .errors import (
+    MAX_ENUM_DIM,
+    MIN_VALIDATION_DIM,
     DimensionMismatchError,
     DimensionTooLargeError,
     DivisionByZeroGuardError,
@@ -44,11 +46,8 @@ from .errors import (
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .spectrum import SchmidtSpectrum
 
-#: exhaustive enumeration cost guards
-MAX_ENUM_DIM = 14
+#: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
-#: smallest dimension ``run_validation`` draws
-MIN_VALIDATION_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -594,6 +593,8 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
         raise OutOfRangeError(
             f"dim_max must be at least MIN_VALIDATION_DIM = {MIN_VALIDATION_DIM}, got {dim_max}"
         )
+    if instances < 1:
+        raise OutOfRangeError(f"instances must be at least 1, got {instances}")
     dim_max = min(dim_max, MAX_ENUM_DIM)
     rng = np.random.default_rng(seed)
     results: list[ValidationResult] = []

@@ -7,6 +7,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,15 @@ class SchmidtSpectrum:
             )
         if self.dim < 2:
             raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
-        if not np.all(np.isfinite(coeffs)):
+        # a NaN propagates through both the min and the max, so it fails the first test
+        lo, hi = np.minimum.reduce(coeffs), np.maximum.reduce(coeffs)
+        if not -np.inf < lo <= hi < np.inf:
             raise NonFiniteEntryError("squared coefficients must be finite")
-        if np.any(coeffs < 0.0):
+        if lo < 0.0:
             raise NegativeEntryError("squared coefficients must be nonnegative")
-        if np.any(coeffs > 1.0 + NORM_TOL):
+        if hi > 1.0 + NORM_TOL:
             raise InvalidSpectrumError("a squared coefficient exceeds 1")
-        total = float(np.sum(coeffs))
+        total = float(np.add.reduce(coeffs))
         if abs(total - 1.0) > NORM_TOL:
             raise NotNormalizedError(
                 f"squared coefficients sum to {total!r}, not 1 within {NORM_TOL}"
@@ -61,7 +64,7 @@ class SchmidtSpectrum:
 
     @property
     def min_sq(self) -> float:
-        return float(np.min(self.sq_coeffs))
+        return float(np.minimum.reduce(self.sq_coeffs))
 
     @property
     def rank(self) -> int:
@@ -95,15 +98,17 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInputError("no coefficients given")
-    if not np.all(np.isfinite(arr)):
+    # a NaN propagates through both the min and the max, so it fails the first test
+    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
+    if not -np.inf < lo <= hi < np.inf:
         raise NonFiniteEntryError("coefficients must be finite")
-    if np.any(arr < 0.0):
+    if lo < 0.0:
         raise NegativeEntryError("coefficients must be nonnegative")
     if input_kind == "amplitudes":
         arr = arr * arr
     elif input_kind != "squared":
         raise ValueError(f"unknown input_kind {input_kind!r}")
-    total = float(np.sum(arr))
+    total = float(np.add.reduce(arr, axis=None))
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > INGEST_TOL:
@@ -122,7 +127,7 @@ def measures(s: SchmidtSpectrum) -> Measures:
     c_sq = (d / (d - 1.0)) * (1.0 - purity)
     c_sq = min(max(c_sq, 0.0), 1.0)  # clip float residue at the range ends
     return Measures(
-        concurrence=float(np.sqrt(c_sq)),
+        concurrence=math.sqrt(c_sq),
         concurrence_sq=c_sq,
         schmidt_number=1.0 / purity,
         purity=purity,

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,17 @@ class TestInterpCommand:
         assert rows[0][0] == 0.0 and rows[0][1] == 1.0
         assert rows[-1][1] == pytest.approx(0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_non_positive_grid_points_is_usage_error(self, worked_spectrum, tmp_path, capsys,
+                                                    points):
+        out = tmp_path / "interp.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["interp", "--spectrum", str(worked_spectrum),
+                  "--grid-points", points, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"--grid-points: must be at least 1, got {points}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConcentrateCommand:
     def test_standard_endpoint(self, worked_spectrum, tmp_path):
@@ -131,6 +145,13 @@ class TestConcentrateCommand:
         code = main(["concentrate", "--spectrum", str(path), "--pref", "0.5"])
         assert code == 1
         assert "NonFiniteEntryError" in capsys.readouterr().err
+
+    def test_string_coefficient_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "squared_coefficients": [0.5, "a"]}')
+        code = main(["concentrate", "--spectrum", str(path), "--pref", "0.6"])
+        assert code == 1
+        assert "SchemaError" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self, worked_spectrum, tmp_path):
         sweep = ["sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
@@ -265,6 +286,15 @@ class TestValidateCommand:
             main(["validate", "--help"])
         assert "at least 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_is_usage_error(self, capsys, instances):
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--dim-max", "5", "--instances", instances])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--instances: must be at least 1, got {instances}" in captured.err
+        assert "passed" not in captured.out
+
     def test_hundred_instance_run_passes(self, capsys):
         code = main(["validate", "--dim-max", "8", "--instances", "100", "--seed", "0"])
         out = capsys.readouterr().out
@@ -294,3 +324,11 @@ class TestKthresholdCommand:
         ])
         assert code == 1
         assert "OutOfRangeError" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_oracle_unloaded():
+    # only `validate` needs the oracles, so no other command pays for their import
+    src = str(Path(io.__file__).parents[1])
+    check = "import sys, schmidt_forge.cli; sys.exit('schmidt_forge.oracle' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
+    assert result.returncode == 0, result.stderr

@@ -84,6 +84,16 @@ class TestEfficiencyQ:
         with pytest.raises(YOutOfBoxError):
             efficiency_q(s, [-0.1, 1.0, 1.0, 1.0], ReferenceLevel(4, 0.3))
 
+    @given(spectra(max_dim=12), st.floats(0.0, 1.0))
+    @example(make_spectrum(WORKED), 0.1)
+    @example(make_spectrum([0.25] * 4), 0.5)
+    def test_planner_q_value_is_the_payoff_of_its_plan(self, s, u):
+        d = s.dim
+        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        out = optimal_plan_efficiency(s, ref)
+        # Q is a difference of terms at most 1, hence the absolute floor
+        assert out.q_value == pytest.approx(efficiency_q(s, out.plan.y, ref), rel=1e-9, abs=1e-14)
+
 
 class TestOptimalPlan:
     def test_standard_concentration(self):

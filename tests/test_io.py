@@ -48,6 +48,13 @@ class TestSpectrumRoundTrip:
         with pytest.raises(SchemaError, match="NotNormalized"):
             io.read_spectrum(path)
 
+    @pytest.mark.parametrize("coeffs", ['[0.5, "a"]', "[0.5, [0.5]]", "[0.5, {}]"])
+    def test_non_numeric_coefficient_is_schema_error(self, tmp_path, coeffs):
+        path = tmp_path / "s.json"
+        path.write_text(f'{{"dim": 2, "squared_coefficients": {coeffs}}}')
+        with pytest.raises(SchemaError):
+            io.read_spectrum(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"dim": 2}')

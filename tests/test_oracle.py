@@ -308,6 +308,11 @@ class TestValidationDriver:
         with pytest.raises(OutOfRangeError, match="MIN_VALIDATION_DIM = 3"):
             run_validation(dim_max=dim_max, instances=1)
 
+    @pytest.mark.parametrize("instances", [0, -1])
+    def test_no_instances_is_typed_error(self, instances):
+        with pytest.raises(OutOfRangeError, match="instances must be at least 1"):
+            run_validation(dim_max=5, instances=instances)
+
 
 class TestPrefixScanAtScale:
     """The planners' water level against the sorted-prefix scan at D = 2^20."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -135,6 +137,50 @@ class TestSortDescending:
         assert a.purity == pytest.approx(b.purity, abs=1e-12)
         assert a.schmidt_number == pytest.approx(b.schmidt_number, abs=1e-9)
         assert a.concurrence_sq == pytest.approx(b.concurrence_sq, abs=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestErrorPrecedence:
+    """The first failed check wins, in the order non-finite, negative,
+    above 1, not normalized, whatever else is wrong with the input."""
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([NAN, -0.5, 1.5], NonFiniteEntryError, "squared coefficients must be finite"),
+        ([-0.5, 1.5, NAN], NonFiniteEntryError, "squared coefficients must be finite"),
+        ([0.5, NAN, 0.5], NonFiniteEntryError, "squared coefficients must be finite"),
+        ([INF, -1.0], NonFiniteEntryError, "squared coefficients must be finite"),
+        ([2.0, -INF], NonFiniteEntryError, "squared coefficients must be finite"),
+        ([1.5, -0.5], NegativeEntryError, "squared coefficients must be nonnegative"),
+        ([-0.1, 0.5], NegativeEntryError, "squared coefficients must be nonnegative"),
+        ([1.5, 0.5], InvalidSpectrumError, "a squared coefficient exceeds 1"),
+        ([0.3, 0.3], NotNormalizedError,
+         "squared coefficients sum to 0.6, not 1 within 1e-12"),
+    ])
+    def test_stored_spectrum(self, values, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SchmidtSpectrum(len(values), np.array(values))
+
+    @pytest.mark.parametrize("values, error, message", [
+        ([NAN, -0.5, 1.5], NonFiniteEntryError, "coefficients must be finite"),
+        ([-0.5, 1.5, NAN], NonFiniteEntryError, "coefficients must be finite"),
+        ([INF, -1.0], NonFiniteEntryError, "coefficients must be finite"),
+        ([2.0, -INF], NonFiniteEntryError, "coefficients must be finite"),
+        ([1.5, -0.5], NegativeEntryError, "coefficients must be nonnegative"),
+        ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
+    ])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("input_kind", ["squared", "amplitudes"])
+    def test_ingest(self, values, error, message, normalize, input_kind):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make_spectrum(values, input_kind=input_kind, normalize=normalize)
+
+    @pytest.mark.parametrize("values, total", [([1.5, 0.0], "1.5"), ([0.3, 0.3], "0.6")])
+    def test_ingest_bad_sum(self, values, total):
+        message = f"squared coefficients sum to {total}; pass normalize=True to rescale"
+        with pytest.raises(NotNormalizedError, match=f"^{re.escape(message)}$"):
+            make_spectrum(values)
 
 
 class TestImmutability:
