@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
-from .spectrum import Measures, SchmidtSpectrum, _frozen_array, measures
+from .spectrum import Measures, SchmidtSpectrum, _freeze, _frozen_array, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -149,28 +149,33 @@ def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
     return _scale(s.dim) * (ref.p_ref * total * total - float(np.dot(x, x)))
 
 
-def _level_plan(s: SchmidtSpectrum, level: float, crop: np.ndarray, n: int) -> ConcentrationPlan:
-    """The plan that cuts the ``n`` coefficients of the mask ``crop`` down to ``level``."""
-    # y = level / a^2 <= 1 on the crop, so x = a^2 * y never exceeds a^2;
-    # untouched coefficients, zeros included, keep y = 1 exactly
-    y = np.divide(level, s.sq_coeffs, out=np.ones(s.dim), where=crop)
-    return ConcentrationPlan(y=y, x=s.sq_coeffs * y, n_opt=n, crop_level=float(level))
+def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
+    """The plan that cuts the ``n`` coefficients a^2 >= ``level`` down to it."""
+    sq = s.sq_coeffs
+    # on the crop a^2 >= L, max(a^2, L) = a^2 and y is the division L / a^2 <= 1,
+    # so x = a^2 * y never exceeds a^2; elsewhere, zeros and -0.0 included, y is
+    # L / L, exactly 1.0 because every level is finite and positive
+    y = np.maximum(sq, level)
+    np.divide(level, y, out=y)
+    return ConcentrationPlan(
+        y=_freeze(y), x=_freeze(sq * y), n_opt=n, crop_level=float(level)
+    )
 
 
 def _outcome_from_plan(
     s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
 ) -> ConcentrationOutcome:
     p_success = float(np.add.reduce(plan.x))
-    post = SchmidtSpectrum(s.dim, plan.x / p_success)
+    post = SchmidtSpectrum(s.dim, _freeze(plan.x / p_success))
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
 def _efficiency_level(
     sq: np.ndarray, p_ref: float, top: float
-) -> tuple[float, np.ndarray, int, np.ndarray, float]:
+) -> tuple[float, int, np.ndarray, float]:
     """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < top = max a^2,
-    with its crop mask a^2 >= L, the crop size n, the uncut coefficients
-    a^2 < L and their sum beta.
+    with the crop size n = #{a^2 >= L}, the uncut coefficients a^2 < L and
+    their sum beta.
 
     Where the n coefficients at or above L are cut and beta is the weight
     below L, the equation is linear with root P_ref * beta / (1 - n * P_ref).
@@ -184,12 +189,11 @@ def _efficiency_level(
     while True:
         # the coefficients and every level are finite, so a^2 < L is
         # exactly the complement of the crop a^2 >= L
-        below = sq < level
-        rest = sq[below]
+        rest = sq.compress(sq < level)
         n = sq.size - rest.size
         beta = float(np.add.reduce(rest))
         if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
-            return level, ~below, n, rest, beta
+            return level, n, rest, beta
         level = p_ref * beta / (1.0 - n * p_ref)
         n_prev = n
 
@@ -222,8 +226,8 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
             raise RankDeficientFullConcentrationError(
                 "full concentration needs every coefficient positive"
             )
-        plan = _level_plan(s, amin, np.ones(d, dtype=bool), d)
-        post = SchmidtSpectrum(d, np.full(d, 1.0 / d))
+        plan = _level_plan(s, amin, d)
+        post = SchmidtSpectrum(d, _freeze(np.full(d, 1.0 / d)))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
     rank = s.rank
@@ -236,14 +240,14 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
         )
 
     sq = s.sq_coeffs
-    top = float(np.maximum.reduce(sq))
+    top = s.max_sq
     if p_ref >= top:
-        identity = _level_plan(s, top, np.zeros(d, dtype=bool), 0)
+        identity = _level_plan(s, top, 0)
         return _outcome_from_plan(s, identity, _scale(d) * (p_ref - float(sq @ sq)))
 
-    level, crop, n, rest, beta = _efficiency_level(sq, p_ref, top)
+    level, n, rest, beta = _efficiency_level(sq, p_ref, top)
     q = _scale(d) * (level * beta - float(rest @ rest))
-    return _outcome_from_plan(s, _level_plan(s, level, crop, n), q)
+    return _outcome_from_plan(s, _level_plan(s, level, n), q)
 
 
 def apply_plan(

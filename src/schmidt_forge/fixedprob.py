@@ -37,9 +37,9 @@ class FixedProbRequest:
             raise PFixOutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
-def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray, int]:
+def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, int]:
     """Root kappa of sum_m min(a_m^2, kappa) = p_fix, for 0 < p_fix < sum a^2,
-    with its crop mask a^2 >= kappa and the crop size n.
+    with the crop size n = #{a^2 >= kappa}.
 
     Where the n coefficients at or above kappa are cut and beta is the weight
     below kappa, the equation is linear with root (p_fix - beta) / n. That
@@ -55,8 +55,8 @@ def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, np.ndarray, int]:
         below = sq < level
         n = sq.size - int(np.count_nonzero(below))
         if not 0 < n < n_prev:
-            return level, ~below, n
-        level = (p_fix - float(np.add.reduce(sq[below]))) / n
+            return level, n
+        level = (p_fix - float(np.add.reduce(sq.compress(below)))) / n
         n_prev = n
 
 
@@ -74,7 +74,7 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     p_fix = float(req.p_fix)
     sq = s.sq_coeffs
     if p_fix >= float(np.add.reduce(sq)):
-        plan = _level_plan(s, float(np.maximum.reduce(sq)), np.zeros(s.dim, dtype=bool), 0)
+        plan = _level_plan(s, s.max_sq, 0)
     else:
         plan = _level_plan(s, *_fixed_level(sq, p_fix))
     return _outcome_from_plan(s, plan, None)

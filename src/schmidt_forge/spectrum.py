@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,24 @@ NORM_TOL = 1e-12
 INGEST_TOL = 1e-9
 
 
-def _frozen_array(values) -> np.ndarray:
-    a = np.array(values, dtype=float)
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """Mark an array this package just made read-only, so that
+    :func:`_frozen_array` keeps it without a copy."""
     a.setflags(write=False)
     return a
+
+
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 array of ``values``.
+
+    A read-only float64 ndarray that owns its memory is returned as it is;
+    anything else is copied, so a caller's writeable array, or a view of
+    one, cannot change what is stored.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.base is None and not values.flags.writeable):
+        return values
+    return _freeze(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +77,15 @@ class SchmidtSpectrum:
                 f"squared coefficients sum to {total!r}, not 1 within {NORM_TOL}"
             )
 
-    @property
+    @cached_property
     def min_sq(self) -> float:
         return float(np.minimum.reduce(self.sq_coeffs))
 
-    @property
+    @cached_property
+    def max_sq(self) -> float:
+        return float(np.maximum.reduce(self.sq_coeffs))
+
+    @cached_property
     def rank(self) -> int:
         """Number of strictly positive coefficients."""
         return int(np.count_nonzero(self.sq_coeffs))
@@ -115,8 +134,7 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
-    arr = arr / total
-    return SchmidtSpectrum(int(arr.size), arr)
+    return SchmidtSpectrum(int(arr.size), _freeze(arr / total))
 
 
 def measures(s: SchmidtSpectrum) -> Measures:

@@ -7,15 +7,13 @@ from schmidt_forge import SampleSpec, make_spectrum, sample_haar_spectrum
 
 
 @st.composite
-def spectra(draw, min_dim=2, max_dim=10, min_value=1e-3):
+def spectra(draw, min_dim=2, max_dim=10, min_value=1e-3, zeros=False):
+    """Normalized spectra; with ``zeros`` some entries may be 0.0 or -0.0."""
     d = draw(st.integers(min_dim, max_dim))
-    vals = draw(
-        st.lists(
-            st.floats(min_value, 1.0, allow_nan=False, allow_infinity=False),
-            min_size=d,
-            max_size=d,
-        )
-    )
+    entry = st.floats(min_value, 1.0, allow_nan=False, allow_infinity=False)
+    if zeros:
+        entry = st.sampled_from([0.0, -0.0]) | entry
+    vals = draw(st.lists(entry, min_size=d, max_size=d).filter(lambda v: max(v) > 0.0))
     return make_spectrum(np.asarray(vals), normalize=True)
 
 

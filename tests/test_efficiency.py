@@ -4,12 +4,14 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from schmidt_forge import (
+    FixedProbRequest,
     ReferenceLevel,
     apply_plan,
     efficiency_q,
     make_spectrum,
     measures,
     optimal_plan_efficiency,
+    optimal_plan_fixed,
     reference_from,
     sort_descending,
 )
@@ -252,6 +254,29 @@ class TestPlanInvariants:
         )
         assert out.q_value == pytest.approx(definition, abs=1e-10)
         assert out.q_value >= -1e-15
+
+    @given(spectra(max_dim=10, zeros=True), st.floats(0.0, 1.0))
+    @example(make_spectrum([0.5, -0.0, 0.0, 0.5]), 0.3)
+    @example(make_spectrum(WORKED), 0.0)
+    # the fixed planner's first level p_fix / D = 0.25 equals two coefficients
+    @example(make_spectrum([0.5, 0.25, 0.25]), 0.75)
+    def test_y_is_the_level_over_a_sq_on_the_crop_and_one_elsewhere(self, s, u):
+        d = s.dim
+        sq = s.sq_coeffs
+        outs = []
+        p_ref = 1.0 / d + u * (1.0 - 1.0 / d)
+        if s.rank == d or p_ref >= 1.0 / s.rank:
+            outs.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)))
+        # a p_fix whose first level p_fix / D underflows to 0 ends in a
+        # NonFiniteEntryError from the post spectrum (a FOUND line in CHANGES.md)
+        if u / d > 0.0:
+            outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
+        for out in outs:
+            level = out.plan.crop_level
+            crop = sq >= level
+            assert np.array_equal(out.plan.y[crop], level / sq[crop])
+            assert np.all(out.plan.y[~crop] == 1.0)
+            assert out.plan.n_opt in (0, np.count_nonzero(crop))
 
     def test_monotone_reference_sweep(self):
         rng = np.random.default_rng(42)

@@ -13,7 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from schmidt_forge import io, make_spectrum
+from schmidt_forge import (
+    FixedProbRequest,
+    ReferenceLevel,
+    io,
+    make_spectrum,
+    optimal_plan_efficiency,
+    optimal_plan_fixed,
+)
 from schmidt_forge.cli import main
 
 from helpers import reference_render
@@ -21,6 +28,7 @@ from helpers import reference_render
 SMALL = [0.5, 0.25, 0.125, 0.125]
 SIGNED_ZERO = [0.5, -0.0, 0.0, 0.5]
 LARGE_DIM = 2**16
+PLAN_DIM = 2**12
 
 GOLDEN = {
     "spectrum-small": "36e1af7d36a3c843eea605df099ac04d6234e162b94d0b7fec102b12364ebbea",
@@ -32,6 +40,15 @@ GOLDEN = {
     "kthreshold": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
     "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
     "sweep-json": "a8013563bc6ca754731c75d1693c847ccf627eaf5fe6943852c6365a39a227d1",
+}
+
+#: plan vectors of seeded non-dyadic D = 2^12 spectra; a plan's y, x, post
+#: spectrum and p_success use no BLAS call, so these hold for any thread count
+PLAN_DIGESTS = {
+    "efficiency-positive": "c9091b4c15d6a848735a5eab4e73b054a38ebe0cbb6ab46a7e290f52b9f95340",
+    "efficiency-sparse": "5c4ffd3114e78e464cd76f903061bde9428d5ec8bfac2849a5da47f3981e7893",
+    "fixed-positive": "f05e8b1952cd3278651855797790d3c62b4f89b426f7206ed7a24b9bab29fd92",
+    "fixed-sparse": "2430cac1c93f26a9078e3d1d4df76ba0c153a1b70e255942e1becbea767b25f8",
 }
 
 NON_FINITE = (
@@ -108,6 +125,46 @@ def test_stdout_matches_file(artefacts, capsys):
     files, small = artefacts
     assert main(["concentrate", "--spectrum", str(small), "--pref", "0.28"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == files["concentrate"]
+
+
+def _plan_spectra():
+    """Dirichlet draws at D = 2^12 with tied coefficients: "sparse" also
+    holds zeros and -0.0, "positive" has none."""
+    rng = np.random.default_rng(12)
+    sparse = rng.dirichlet(np.ones(PLAN_DIM))
+    sparse[::13] = sparse.max()
+    sparse[1::17] = sparse[2]
+    sparse[5::11] = 0.0
+    sparse[6::11] = -0.0
+    positive = rng.dirichlet(np.full(PLAN_DIM, 0.5))
+    positive[::19] = positive.max()
+    positive[3::7] = positive[4]
+    return {"sparse": make_spectrum(sparse, normalize=True),
+            "positive": make_spectrum(positive, normalize=True)}
+
+
+def _plan_digest(outcomes) -> str:
+    h = hashlib.sha256()
+    for out in outcomes:
+        for a in (out.plan.y, out.plan.x, out.post_spectrum.sq_coeffs):
+            h.update(a.tobytes())
+        h.update(repr((out.plan.n_opt, out.plan.crop_level, out.p_success)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+def test_plan_vectors_match_digest(name):
+    planner, kind = name.split("-")
+    s = _plan_spectra()[kind]
+    d, top = s.dim, float(s.sq_coeffs.max())
+    if planner == "efficiency":
+        low = 1.0 / s.rank  # the standard concentration 1/D on the positive draw
+        refs = [low, 1.3 * low, 2.0 * low, 3.0 * low, 0.5 * (top + 3.0 * low), top, 1.0]
+        outs = [optimal_plan_efficiency(s, ReferenceLevel(d, p)) for p in refs]
+    else:
+        fixes = [1e-9, 1.0 / d, 0.01, 0.3, 0.9, float(np.add.reduce(s.sq_coeffs)), 1.0]
+        outs = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
+    assert _plan_digest(outs) == PLAN_DIGESTS[name]
 
 
 def test_non_finite_floats_render_null(tmp_path):

@@ -189,6 +189,17 @@ class TestImmutability:
         with pytest.raises(ValueError):
             s.sq_coeffs[0] = 0.9
 
+    def test_caller_arrays_are_copied(self):
+        values = np.array([0.25, 0.75])
+        view = values[:]
+        view.setflags(write=False)
+        built = [SchmidtSpectrum(2, values), SchmidtSpectrum(2, view), make_spectrum(values)]
+        values[:] = [0.5, 0.5]
+        assert values.flags.writeable
+        for s in built:
+            assert s.sq_coeffs.tolist() == [0.25, 0.75]
+            assert not s.sq_coeffs.flags.writeable
+
     def test_stored_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
             SchmidtSpectrum(2, np.array([0.5, 0.5 + 1e-9]))
