@@ -30,6 +30,10 @@ from .spectrum import Measures, SchmidtSpectrum, _freeze, _frozen_array, measure
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
+#: slack of a reference purity at its minimum 1/D: half an ulp of 1, the
+#: rounding of 1 - (D-1)/D * c_ref^2 at c_ref = 1, which lands within a
+#: quarter ulp of 1 of 1/D but up to 6e-11 from it relative to 1/D
+P_REF_TOL = 2.0**-53
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +50,7 @@ class ReferenceLevel:
 
     def __post_init__(self):
         lo = 1.0 / self.dim
-        if not lo - FEAS_TOL <= self.p_ref <= 1.0 + FEAS_TOL:
+        if not lo - P_REF_TOL <= self.p_ref <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(
                 f"p_ref={self.p_ref!r} outside [1/{self.dim}, 1]"
             )
@@ -62,8 +66,9 @@ class ReferenceLevel:
 
     @property
     def is_standard_concentration(self) -> bool:
-        """True when P_ref sits at its minimum 1/D (C_ref = 1)."""
-        return abs(self.p_ref - 1.0 / self.dim) <= FEAS_TOL
+        """True when P_ref sits at its minimum 1/D (C_ref = 1), up to the
+        rounding of its computation; every larger P_ref gets its own level."""
+        return self.p_ref - 1.0 / self.dim <= P_REF_TOL
 
 
 def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
@@ -231,7 +236,7 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
     rank = s.rank
-    if rank < d and p_ref < 1.0 / rank - FEAS_TOL:
+    if rank < d and p_ref < 1.0 / rank - P_REF_TOL:
         # demanding more entanglement than the support dimension can carry:
         # the payoff supremum is 0, approached only as p_success -> 0
         raise RankDeficientFullConcentrationError(

@@ -21,6 +21,7 @@ from schmidt_forge.errors import (
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
+from schmidt_forge.oracle import prefix_scan_efficiency
 
 from helpers import dirichlet_spectrum, haar, random_reference, spectra
 
@@ -58,6 +59,8 @@ class TestReferenceFrom:
         with pytest.raises(OutOfRangeError):
             reference_from("p_ref", 0.1, 4)  # below 1/D
         with pytest.raises(OutOfRangeError):
+            reference_from("p_ref", 0.25 - 5e-13, 4)  # below 1/D by more than rounding
+        with pytest.raises(OutOfRangeError):
             reference_from("p_ref", 1.3, 4)
 
 
@@ -89,6 +92,7 @@ class TestEfficiencyQ:
     @given(spectra(max_dim=12), st.floats(0.0, 1.0))
     @example(make_spectrum(WORKED), 0.1)
     @example(make_spectrum([0.25] * 4), 0.5)
+    @example(make_spectrum([0.5, 0.5]), 1e-12)
     def test_planner_q_value_is_the_payoff_of_its_plan(self, s, u):
         d = s.dim
         ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
@@ -135,8 +139,33 @@ class TestOptimalPlan:
 
     def test_standard_detection_tolerance(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25 + 1e-13))
+        out = optimal_plan_efficiency(s, ReferenceLevel(4, np.nextafter(0.25, 1.0)))
         assert out.plan.n_opt == 4  # still the closed-form standard branch
+        # further above 1/D the reference gets its own level, which leaves the
+        # smallest coefficient uncut
+        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25 + 1e-13))
+        assert out.plan.n_opt == 3
+
+    @pytest.mark.parametrize("dim", [3, 7, 1000, 1048568])
+    def test_minimum_reference_views_take_the_closed_form(self, dim):
+        # 1 - (D-1)/D rounds above 1/D for about half of all D, by up to
+        # 6e-11 relative at D = 1048568
+        for kind, value in (("c_ref", 1.0), ("c_ref_sq", 1.0), ("k_ref", float(dim))):
+            assert reference_from(kind, value, dim).is_standard_concentration
+
+    def test_reference_just_above_minimum_gets_its_own_level(self):
+        d = 2**16
+        s = dirichlet_spectrum(np.random.default_rng(3), d)
+        ref = ReferenceLevel(d, 1.0 / d + 5e-13)
+        out = optimal_plan_efficiency(s, ref)
+        n_scan, level_scan = prefix_scan_efficiency(s, ref)
+        assert out.plan.n_opt == n_scan
+        assert out.plan.crop_level == pytest.approx(level_scan, rel=1e-12)
+        # Q is about 5e-24, a difference of terms near 1e-17, hence no absolute floor
+        q_plan = efficiency_q(s, out.plan.y, ref)
+        assert out.q_value == pytest.approx(q_plan, rel=1e-5, abs=0.0)
+        y_scan = np.minimum(1.0, level_scan / s.sq_coeffs)
+        assert q_plan >= efficiency_q(s, y_scan, ref) * (1.0 - 1e-12)
 
     def test_uniform_state_identity_for_any_reference(self):
         s = make_spectrum([0.25] * 4)
@@ -152,14 +181,16 @@ class TestOptimalPlan:
 
     def test_rank_deficient_below_support_rejected(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
-        # demanding K_ref = 2.5 > rank = 2
-        with pytest.raises(RankDeficientFullConcentrationError):
-            optimal_plan_efficiency(s, ReferenceLevel(4, 0.4))
+        # demanding K_ref = 2.5 > rank = 2, or a reference below 1/rank by
+        # more than rounding
+        for p_ref in (0.4, 0.5 - 5e-13):
+            with pytest.raises(RankDeficientFullConcentrationError):
+                optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
 
     def test_rank_deficient_feasible_reference_works(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
-        # at 1/rank, and just below it within the range-check slack
-        for p_ref in (0.5, 0.5 - 5e-13):
+        # at 1/rank, and one ulp below it within the range-check slack
+        for p_ref in (0.5, np.nextafter(0.5, 0.0)):
             out = optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
             # support concentration: both live coefficients crop to 0.4-level
             assert out.p_success > 0.0
