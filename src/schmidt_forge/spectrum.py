@@ -105,6 +105,11 @@ class Measures:
     purity: float
 
 
+def _squares_and_total(arr: np.ndarray, input_kind: str) -> tuple[np.ndarray, float]:
+    squares = arr * arr if input_kind == "amplitudes" else arr
+    return squares, float(np.add.reduce(squares, axis=None))
+
+
 def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) -> SchmidtSpectrum:
     """Validate and build a spectrum from raw coefficients.
 
@@ -123,18 +128,25 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NonFiniteEntryError("coefficients must be finite")
     if lo < 0.0:
         raise NegativeEntryError("coefficients must be nonnegative")
-    if input_kind == "amplitudes":
-        arr = arr * arr
-    elif input_kind != "squared":
+    if input_kind not in ("squared", "amplitudes"):
         raise ValueError(f"unknown input_kind {input_kind!r}")
-    total = float(np.add.reduce(arr, axis=None))
+    peak = float(hi) * float(hi) if input_kind == "amplitudes" else float(hi)
+    if peak * arr.size < math.inf:
+        squares, total = _squares_and_total(arr, input_kind)
+    else:
+        # the squares or their sum may overflow; where they do and the input
+        # is to be normalized anyway, divide by the largest entry first
+        with np.errstate(over="ignore"):
+            squares, total = _squares_and_total(arr, input_kind)
+        if normalize and total == math.inf:
+            squares, total = _squares_and_total(arr / hi, input_kind)
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > INGEST_TOL:
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
-    return SchmidtSpectrum(int(arr.size), _freeze(arr / total))
+    return SchmidtSpectrum(int(squares.size), _freeze(squares / total))
 
 
 def measures(s: SchmidtSpectrum) -> Measures:

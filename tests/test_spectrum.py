@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ class TestMakeSpectrum:
             make_spectrum([bad, 0.5, 0.5], normalize=True)
         with pytest.raises(NonFiniteEntryError):
             SchmidtSpectrum(3, np.array([bad, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("values, input_kind", [
+        ([1e308, 1e308], "squared"),
+        ([1e200, 1e200], "amplitudes"),
+    ])
+    def test_overflowing_input_is_normalized(self, values, input_kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = make_spectrum(values, input_kind, normalize=True)
+            with pytest.raises(NotNormalizedError, match="sum to inf"):
+                make_spectrum(values, input_kind)
+        assert s.sq_coeffs.tolist() == [0.5, 0.5]
 
     def test_zero_coefficients_admitted(self):
         s = make_spectrum([0.7, 0.3, 0.0])
