@@ -162,9 +162,7 @@ def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     # L / L, exactly 1.0 because every level is finite and positive
     y = np.maximum(sq, level)
     np.divide(level, y, out=y)
-    return ConcentrationPlan(
-        y=_freeze(y), x=_freeze(sq * y), n_opt=n, crop_level=float(level)
-    )
+    return ConcentrationPlan(y=_freeze(y), x=_freeze(sq * y), n_opt=n, crop_level=float(level))
 
 
 def _outcome_from_plan(
