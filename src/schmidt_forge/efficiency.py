@@ -26,7 +26,7 @@ from .errors import (
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
-from .spectrum import Measures, SchmidtSpectrum, _freeze, _frozen_array, measures
+from .spectrum import Measures, SchmidtSpectrum, _Owned, _frozen_array, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -162,14 +162,14 @@ def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     # L / L, exactly 1.0 because every level is finite and positive
     y = np.maximum(sq, level)
     np.divide(level, y, out=y)
-    return ConcentrationPlan(y=_freeze(y), x=_freeze(sq * y), n_opt=n, crop_level=float(level))
+    return ConcentrationPlan(y=_Owned(y), x=_Owned(sq * y), n_opt=n, crop_level=float(level))
 
 
 def _outcome_from_plan(
     s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
 ) -> ConcentrationOutcome:
     p_success = float(np.add.reduce(plan.x))
-    post = SchmidtSpectrum(s.dim, _freeze(plan.x / p_success))
+    post = SchmidtSpectrum(s.dim, _Owned(plan.x / p_success))
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
@@ -230,7 +230,7 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
                 "full concentration needs every coefficient positive"
             )
         plan = _level_plan(s, amin, d)
-        post = SchmidtSpectrum(d, _freeze(np.full(d, 1.0 / d)))
+        post = SchmidtSpectrum(d, _Owned(np.full(d, 1.0 / d)))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
     rank = s.rank

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficientError, XiOutOfRangeError
-from .spectrum import Measures, SchmidtSpectrum, _freeze, measures
+from .spectrum import Measures, SchmidtSpectrum, _Owned, measures
 
 #: default resolution of a sweep over xi
 DEFAULT_GRID_POINTS = 101
@@ -50,7 +50,7 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
         raise RankDeficientError("zero coefficient: interpolation undefined for xi > 0")
     d = s.dim
     b_sq = s.sq_coeffs + (1.0 / d - s.sq_coeffs) * xi
-    spectrum = SchmidtSpectrum(d, _freeze(b_sq))
+    spectrum = SchmidtSpectrum(d, _Owned(b_sq))
     p = 1.0 / (1.0 - xi + xi / (d * amin))
     return InterpPoint(xi, spectrum, p, measures(spectrum))
 

@@ -27,24 +27,25 @@ NORM_TOL = 1e-12
 INGEST_TOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Mark an array this package just made read-only, so that
-    :func:`_frozen_array` keeps it without a copy."""
-    a.setflags(write=False)
-    return a
+class _Owned:
+    """A float64 array this package has just made, handed to a constructor
+    that stores it read-only without a copy."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
 def _frozen_array(values) -> np.ndarray:
     """A read-only float64 array of ``values``.
 
-    A read-only float64 ndarray that owns its memory is returned as it is;
-    anything else is copied, so a caller's writeable array, or a view of
-    one, cannot change what is stored.
+    Only an :class:`_Owned` array is kept as it is; anything else is copied,
+    so no array of a caller, whatever its flags, can change what is stored.
     """
-    if (type(values) is np.ndarray and values.dtype == np.float64
-            and values.base is None and not values.flags.writeable):
-        return values
-    return _freeze(np.array(values, dtype=float))
+    a = values.array if type(values) is _Owned else np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +104,6 @@ class Measures:
     concurrence_sq: float
     schmidt_number: float
     purity: float
-
-
-def _squares_and_total(arr: np.ndarray, input_kind: str) -> tuple[np.ndarray, float]:
-    squares = arr * arr if input_kind == "amplitudes" else arr
-    return squares, float(np.add.reduce(squares, axis=None))
 
 
 def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) -> SchmidtSpectrum:

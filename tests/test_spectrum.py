@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from schmidt_forge import make_spectrum, measures, sort_descending
+from schmidt_forge.efficiency import ConcentrationPlan
 from schmidt_forge.errors import (
     EmptyInputError,
     InvalidSpectrumError,
@@ -206,12 +207,18 @@ class TestImmutability:
         values = np.array([0.25, 0.75])
         view = values[:]
         view.setflags(write=False)
-        built = [SchmidtSpectrum(2, values), SchmidtSpectrum(2, view), make_spectrum(values)]
-        values[:] = [0.5, 0.5]
+        # the owner of a read-only array can make it writeable again
+        owner = values.copy()
+        owner.setflags(write=False)
+        built = [SchmidtSpectrum(2, values), SchmidtSpectrum(2, view), make_spectrum(values),
+                 SchmidtSpectrum(2, owner)]
+        plan = ConcentrationPlan(y=owner, x=owner, n_opt=0, crop_level=0.75)
+        owner.setflags(write=True)
+        values[:] = owner[:] = [0.5, 0.5]
         assert values.flags.writeable
-        for s in built:
-            assert s.sq_coeffs.tolist() == [0.25, 0.75]
-            assert not s.sq_coeffs.flags.writeable
+        for stored in [s.sq_coeffs for s in built] + [plan.y, plan.x]:
+            assert stored.tolist() == [0.25, 0.75]
+            assert not stored.flags.writeable
 
     def test_stored_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
