@@ -74,7 +74,9 @@ class ReferenceLevel:
 def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
     """Build a reference level from any of its equivalent parameterizations.
 
-    ``kind`` is one of ``p_ref``, ``c_ref``, ``c_ref_sq``, ``k_ref``.
+    ``kind`` is one of ``p_ref``, ``c_ref``, ``c_ref_sq``, ``k_ref``. A value
+    within ``FEAS_TOL`` past the bound that means the minimum P_ref (c_ref = 1,
+    c_ref_sq = 1, k_ref = D) is taken as that bound.
     """
     value = float(value)
     if kind == "p_ref":
@@ -82,14 +84,17 @@ def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
     elif kind == "c_ref":
         if not -FEAS_TOL <= value <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(f"c_ref={value!r} outside [0, 1]")
+        value = min(value, 1.0)
         p_ref = 1.0 - (dim - 1.0) / dim * value * value
     elif kind == "c_ref_sq":
         if not -FEAS_TOL <= value <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(f"c_ref_sq={value!r} outside [0, 1]")
+        value = min(value, 1.0)
         p_ref = 1.0 - (dim - 1.0) / dim * value
     elif kind == "k_ref":
         if not 1.0 - FEAS_TOL <= value <= dim + FEAS_TOL:
             raise OutOfRangeError(f"k_ref={value!r} outside [1, {dim}]")
+        value = min(value, float(dim))
         p_ref = 1.0 / value
     else:
         raise ValueError(f"unknown reference kind {kind!r}")

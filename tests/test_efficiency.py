@@ -146,11 +146,15 @@ class TestOptimalPlan:
         out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25 + 1e-13))
         assert out.plan.n_opt == 3
 
-    @pytest.mark.parametrize("dim", [3, 7, 1000, 1048568])
+    @pytest.mark.parametrize("dim", [3, 4, 7, 1000, 1048568])
     def test_minimum_reference_views_take_the_closed_form(self, dim):
         # 1 - (D-1)/D rounds above 1/D for about half of all D, by up to
-        # 6e-11 relative at D = 1048568
-        for kind, value in (("c_ref", 1.0), ("c_ref_sq", 1.0), ("k_ref", float(dim))):
+        # 6e-11 relative at D = 1048568; a view inside its slack past the
+        # bound is the bound
+        above_one = (1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-13)
+        views = [("c_ref", v) for v in above_one] + [("c_ref_sq", v) for v in above_one]
+        views += [("k_ref", dim), ("k_ref", dim + 1e-13)]
+        for kind, value in views:
             assert reference_from(kind, value, dim).is_standard_concentration
 
     def test_reference_just_above_minimum_gets_its_own_level(self):
