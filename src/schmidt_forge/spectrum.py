@@ -126,23 +126,21 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NegativeEntryError("coefficients must be nonnegative")
     if input_kind not in ("squared", "amplitudes"):
         raise ValueError(f"unknown input_kind {input_kind!r}")
-    peak = float(hi) * float(hi) if input_kind == "amplitudes" else float(hi)
-    if peak * arr.size < math.inf:
-        squares, total = _squares_and_total(arr, input_kind)
-    else:
-        # the squares or their sum may overflow; where they do and the input
-        # is to be normalized anyway, divide by the largest entry first
-        with np.errstate(over="ignore"):
-            squares, total = _squares_and_total(arr, input_kind)
-        if normalize and total == math.inf:
-            squares, total = _squares_and_total(arr / hi, input_kind)
+    with np.errstate(over="ignore"):
+        squares = arr * arr if input_kind == "amplitudes" else arr
+        total = float(np.add.reduce(squares, axis=None))
+    if normalize and total == math.inf:
+        # the squares or their sum overflow: divide by the largest entry first
+        arr = arr / hi
+        squares = arr * arr if input_kind == "amplitudes" else arr
+        total = float(np.add.reduce(squares, axis=None))
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > INGEST_TOL:
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
-    return SchmidtSpectrum(int(squares.size), _freeze(squares / total))
+    return SchmidtSpectrum(int(squares.size), _Owned(squares / total))
 
 
 def measures(s: SchmidtSpectrum) -> Measures:
