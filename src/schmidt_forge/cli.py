@@ -2,13 +2,15 @@
 
 Subcommands: measures, sample, interp, concentrate, fixedp, sweep, validate,
 kthreshold. Domain errors exit with status 1 and the error class name on
-stderr; usage errors, malformed grids and sample sizes included, exit 2.
+stderr; usage errors, malformed grids and sample sizes included, exit 2. A
+reader that closes stdout early ends the command quietly with status 1.
 Identical argv and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -301,7 +303,14 @@ def main(argv=None) -> int:
             f"validate --dim-max must be at least {MIN_VALIDATION_DIM}, got {args.dim_max}"
         )
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: exit quietly, with
+        # stdout on devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SchmidtForgeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

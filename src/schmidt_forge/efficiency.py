@@ -161,6 +161,13 @@ def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
 
 def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     """The plan that cuts the ``n`` coefficients a^2 >= ``level`` down to it."""
+    if not level > 0.0:
+        # with L > 0 every cut coefficient keeps x = a^2 * (L / a^2) > 0, so
+        # p_success > 0 and the post spectrum x / p_success is valid
+        raise InfeasibleError(
+            "the water level underflows to 0: no plan with positive "
+            "success probability can be computed"
+        )
     sq = s.sq_coeffs
     # on the crop a^2 >= L, max(a^2, L) = a^2 and y is the division L / a^2 <= 1,
     # so x = a^2 * y never exceeds a^2; elsewhere, zeros and -0.0 included, y is
@@ -174,6 +181,8 @@ def _outcome_from_plan(
     s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
 ) -> ConcentrationOutcome:
     p_success = float(np.add.reduce(plan.x))
+    # 0 <= x_m <= a^2 is finite and p_success > 0 (the level is positive), so
+    # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
     post = SchmidtSpectrum(s.dim, _Owned(plan.x / p_success))
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
@@ -235,6 +244,7 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
                 "full concentration needs every coefficient positive"
             )
         plan = _level_plan(s, amin, d)
+        # the uniform spectrum, valid for every D >= 2
         post = SchmidtSpectrum(d, _Owned(np.full(d, 1.0 / d)))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 

@@ -72,11 +72,15 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     problem.
     """
     p_fix = float(req.p_fix)
-    sq = s.sq_coeffs
-    if p_fix >= float(np.add.reduce(sq)):
+    if p_fix / s.dim == 0.0:
+        raise PFixOutOfRangeError(
+            f"p_fix={p_fix!r} is too small for dim={s.dim}: "
+            "the first water level p_fix / dim underflows to 0"
+        )
+    if p_fix >= s.total:
         plan = _level_plan(s, s.max_sq, 0)
     else:
-        plan = _level_plan(s, *_fixed_level(sq, p_fix))
+        plan = _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix))
     return _outcome_from_plan(s, plan, None)
 
 

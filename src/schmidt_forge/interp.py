@@ -50,6 +50,8 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
         raise RankDeficientError("zero coefficient: interpolation undefined for xi > 0")
     d = s.dim
     b_sq = s.sq_coeffs + (1.0 / d - s.sq_coeffs) * xi
+    # a convex combination of two valid spectra: (1/D - a^2) * xi lies between
+    # 0 and 1/D - a^2, so every b^2 lies between a^2 and 1/D, and they sum to 1
     spectrum = SchmidtSpectrum(d, _Owned(b_sq))
     p = 1.0 / (1.0 - xi + xi / (d * amin))
     return InterpPoint(xi, spectrum, p, measures(spectrum))

@@ -29,7 +29,14 @@ INGEST_TOL = 1e-9
 
 class _Owned:
     """A float64 array this package has just made, handed to a constructor
-    that stores it read-only without a copy."""
+    that stores it read-only without a copy.
+
+    A spectrum is checked once, where it enters the package. Its derived
+    spectra (a planner's post spectrum, standard concentration's 1/D, an
+    interpolation, ``make_spectrum``'s checked input over its sum) are valid
+    by construction, so a spectrum built from an ``_Owned`` array skips the
+    value checks; each site says why its values are valid.
+    """
 
     __slots__ = ("array",)
 
@@ -56,6 +63,7 @@ class SchmidtSpectrum:
     sq_coeffs: np.ndarray
 
     def __post_init__(self):
+        derived = type(self.sq_coeffs) is _Owned
         coeffs = _frozen_array(self.sq_coeffs)
         object.__setattr__(self, "sq_coeffs", coeffs)
         if coeffs.ndim != 1 or self.dim != coeffs.size:
@@ -64,6 +72,8 @@ class SchmidtSpectrum:
             )
         if self.dim < 2:
             raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
+        if derived:
+            return
         # a NaN propagates through both the min and the max, so it fails the first test
         lo, hi = np.minimum.reduce(coeffs), np.maximum.reduce(coeffs)
         if not -np.inf < lo <= hi < np.inf:
@@ -85,6 +95,11 @@ class SchmidtSpectrum:
     @cached_property
     def max_sq(self) -> float:
         return float(np.maximum.reduce(self.sq_coeffs))
+
+    @cached_property
+    def total(self) -> float:
+        """Sum of the squared coefficients: 1 up to rounding."""
+        return float(np.add.reduce(self.sq_coeffs))
 
     @cached_property
     def rank(self) -> int:
@@ -140,6 +155,8 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
+    # the squares are finite and nonnegative with a positive finite sum, so
+    # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
     return SchmidtSpectrum(int(squares.size), _Owned(squares / total))
 
 

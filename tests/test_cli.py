@@ -326,6 +326,39 @@ class TestKthresholdCommand:
         assert "OutOfRangeError" in capsys.readouterr().err
 
 
+@pytest.fixture
+def large_spectrum(tmp_path):
+    """A D = 2^14 spectrum: its plan prints far more than a pipe holds."""
+    path = tmp_path / "large.json"
+    rng = np.random.default_rng(14)
+    io.write_spectrum(make_spectrum(rng.dirichlet(np.ones(2**14))), path)
+    return path
+
+
+def _cli_process(*args):
+    src = str(Path(io.__file__).parents[1])
+    return subprocess.Popen([sys.executable, "-m", "schmidt_forge", *args], cwd=src,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_underflowing_p_fix_is_a_typed_error(large_spectrum):
+    proc = _cli_process("fixedp", "--spectrum", str(large_spectrum), "--p", "5e-324")
+    out, err = proc.communicate(timeout=60)
+    err = err.decode()
+    assert proc.returncode == 1 and out == b""
+    assert "PFixOutOfRangeError" in err and "dim=16384" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly(large_spectrum):
+    proc = _cli_process("concentrate", "--spectrum", str(large_spectrum), "--pref", "1e-4")
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_cli_import_leaves_oracle_unloaded():
     # only `validate` needs the oracles, so no other command pays for their import
     src = str(Path(io.__file__).parents[1])

@@ -17,7 +17,9 @@ from schmidt_forge import (
 )
 from schmidt_forge.errors import (
     DimensionMismatchError,
+    InfeasibleError,
     OutOfRangeError,
+    PFixOutOfRangeError,
     RankDeficientFullConcentrationError,
     YOutOfBoxError,
 )
@@ -202,6 +204,14 @@ class TestOptimalPlan:
             zero_idx = np.where(s.sq_coeffs == 0.0)[0]
             assert np.all(out.plan.y[zero_idx] == 1.0)
 
+    @pytest.mark.parametrize("values", [[0.5, 0.5, 5e-324], [0.5, 0.5, 5e-324, 0.0]])
+    def test_underflowing_level_is_a_typed_error(self, values):
+        # the first Newton step P_ref * beta / (1 - n * P_ref) rounds its
+        # numerator 0.49 * 5e-324 to 0, though the root itself is representable
+        s = make_spectrum(values)
+        with pytest.raises(InfeasibleError, match="water level underflows to 0:"):
+            optimal_plan_efficiency(s, ReferenceLevel(s.dim, 0.49))
+
     def test_dimension_mismatch(self):
         s = make_spectrum(WORKED)
         with pytest.raises(DimensionMismatchError):
@@ -295,6 +305,7 @@ class TestPlanInvariants:
     @example(make_spectrum(WORKED), 0.0)
     # the fixed planner's first level p_fix / D = 0.25 equals two coefficients
     @example(make_spectrum([0.5, 0.25, 0.25]), 0.75)
+    @example(make_spectrum([0.0, 1.0]), 5e-324)
     def test_y_is_the_level_over_a_sq_on_the_crop_and_one_elsewhere(self, s, u):
         d = s.dim
         sq = s.sq_coeffs
@@ -302,10 +313,11 @@ class TestPlanInvariants:
         p_ref = 1.0 / d + u * (1.0 - 1.0 / d)
         if s.rank == d or p_ref >= 1.0 / s.rank:
             outs.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)))
-        # a p_fix whose first level p_fix / D underflows to 0 ends in a
-        # NonFiniteEntryError from the post spectrum (a FOUND line in CHANGES.md)
         if u / d > 0.0:
             outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
+        elif u > 0.0:
+            with pytest.raises(PFixOutOfRangeError, match=f"dim={d}: .* underflows to 0$"):
+                optimal_plan_fixed(s, FixedProbRequest(u))
         for out in outs:
             level = out.plan.crop_level
             crop = sq >= level

@@ -3,9 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+import hypothesis.strategies as st
 
-from schmidt_forge import make_spectrum, measures, sort_descending
+from schmidt_forge import (
+    FixedProbRequest,
+    ReferenceLevel,
+    interpolate,
+    make_spectrum,
+    measures,
+    optimal_plan_efficiency,
+    optimal_plan_fixed,
+    sort_descending,
+)
 from schmidt_forge.efficiency import ConcentrationPlan
 from schmidt_forge.errors import (
     EmptyInputError,
@@ -223,3 +233,65 @@ class TestImmutability:
     def test_stored_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
             SchmidtSpectrum(2, np.array([0.5, 0.5 + 1e-9]))
+
+
+QUARTERS = [0.5, 0.25, 0.25]
+
+
+class TestDerivedSpectra:
+    """A derived spectrum is stored without the value checks; rebuilt from a
+    copy of its values, which takes them all, it must still be accepted."""
+
+    @given(spectra(max_dim=10, zeros=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(make_spectrum([1.0, 5e-324, 1e-310, 0.0]), 0.5, 0.5)  # subnormal coefficients
+    @example(make_spectrum([1.0, 5e-324, 1e-310]), 0.5, 0.5)
+    @example(make_spectrum(QUARTERS), 0.4, float(np.nextafter(1.0, 0.0)))  # sum a^2 - 1 ulp
+    @example(make_spectrum(QUARTERS), 0.4, 1e-320)
+    @example(make_spectrum(QUARTERS), 0.4, 3 * 5e-324)  # p_fix = D * 5e-324
+    @example(make_spectrum(QUARTERS), 1 / 3 + 2**-52, 0.5)  # P_ref = 1/D + 2^-52
+    @example(make_spectrum(QUARTERS), 0.5, 0.5)  # P_ref = max a^2
+    @example(make_spectrum([0.6, 0.0, 0.4]), 0.5, 0.5)  # P_ref = 1/rank
+    def test_planner_and_interpolation_spectra(self, s, p_ref, p_fix):
+        d = s.dim
+        identity = optimal_plan_efficiency(s, ReferenceLevel(d, 1.0))
+        assert identity.plan.n_opt == 0
+        derived = [identity.post_spectrum]
+        p_ref = max(p_ref, 1.0 / d)
+        if p_ref >= 1.0 / s.rank:
+            derived.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)).post_spectrum)
+        if p_fix / d > 0.0:
+            derived.append(optimal_plan_fixed(s, FixedProbRequest(p_fix)).post_spectrum)
+        if s.rank == d:
+            standard = optimal_plan_efficiency(s, ReferenceLevel(d, 1.0 / d))
+            assert standard.plan.n_opt == d
+            derived.append(standard.post_spectrum)
+            derived += [interpolate(s, xi).spectrum for xi in (1.0, 1e-300)]
+        for t in derived:
+            SchmidtSpectrum(d, np.array(t.sq_coeffs))
+
+    @given(spectra(max_dim=10, zeros=True), st.floats(1e-100, 1e100))
+    def test_ingested_spectra(self, s, scale):
+        sq = s.sq_coeffs
+        for t in (
+            make_spectrum(sq),
+            make_spectrum(sq * (1.0 + 5e-10)),  # off by less than INGEST_TOL
+            make_spectrum(sq * scale, normalize=True),
+            make_spectrum(np.sqrt(sq), "amplitudes"),
+            make_spectrum(np.sqrt(sq) * scale, "amplitudes", normalize=True),
+            make_spectrum([1e308, 1e308], normalize=True),
+        ):
+            SchmidtSpectrum(t.dim, np.array(t.sq_coeffs))
+
+    @pytest.mark.parametrize("values, error", [
+        ([0.7, 0.7], NotNormalizedError),
+        ([NAN, 0.5, 0.5], NonFiniteEntryError),
+        ([1.5, -0.5], NegativeEntryError),
+        ([1.5, 0.0], InvalidSpectrumError),
+    ])
+    def test_caller_read_only_array_is_checked(self, values, error):
+        # a read-only array that owns its memory is still the caller's
+        arr = np.array(values)
+        arr.setflags(write=False)
+        assert arr.flags.owndata
+        with pytest.raises(error):
+            SchmidtSpectrum(arr.size, arr)
