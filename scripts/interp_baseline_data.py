@@ -9,7 +9,7 @@ probability collapses as the spectrum is pushed toward uniform.
 import argparse
 from pathlib import Path
 
-from schmidt_forge import SampleSpec, default_xi_grid, interp_sweep, sample_haar_spectrum
+from schmidt_forge import SampleSpec, default_xi_grid, sample_haar_spectrum, sweep_table
 from schmidt_forge.io import write_csv
 
 
@@ -22,14 +22,9 @@ def main():
     args = ap.parse_args()
 
     s = sample_haar_spectrum(SampleSpec(dim=args.dim, seed=args.seed, count=1))[0]
-    points = interp_sweep(s, default_xi_grid(args.grid_points))
-    rows = [
-        [p.xi, p.success_prob, p.measures.purity, p.measures.schmidt_number,
-         p.measures.concurrence_sq]
-        for p in points
-    ]
+    header, rows = sweep_table(s, "interp", default_xi_grid(args.grid_points))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(args.out, ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"], rows)
+    write_csv(args.out, header, rows)
     k0, k1 = rows[0][3], rows[-1][3]
     print(f"wrote {args.out}: K {k0:.1f} -> {k1:.1f}, p 1.0 -> {rows[-1][1]:.3e}")
 

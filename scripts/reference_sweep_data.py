@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from schmidt_forge import (
-    ReferenceLevel,
     SampleSpec,
     measures,
     optimal_plan_efficiency,
     reference_from,
     sample_haar_spectrum,
+    sweep_table,
 )
 from schmidt_forge.io import write_csv
 
@@ -37,21 +37,9 @@ def main():
     m0 = measures(s)
     print(f"initial state: K={m0.schmidt_number:.1f}, full-concentration p={args.dim * s.min_sq:.3e}")
 
-    grid = np.geomspace(1.0 / args.dim, 1.0, args.grid_points)
-    rows = []
-    for p_ref in grid:
-        o = optimal_plan_efficiency(s, ReferenceLevel(args.dim, float(p_ref)))
-        pm = o.post_measures
-        rows.append([
-            float(p_ref), o.plan.n_opt, o.p_success, pm.purity,
-            pm.schmidt_number, pm.concurrence_sq, o.q_value,
-        ])
+    grid = np.geomspace(1.0 / args.dim, 1.0, args.grid_points).tolist()
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        args.out,
-        ["p_ref", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq", "q_value"],
-        rows,
-    )
+    write_csv(args.out, *sweep_table(s, "efficiency", grid))
     print(f"wrote {args.out}")
 
     ref = reference_from("k_ref", args.kmin * (1.0 - args.gap), args.dim)

@@ -26,11 +26,11 @@ from .spectrum import (
     measures,
     sort_descending,
 )
+from .sweep import sweep_table
 
 __all__ = [
     "ConcentrationOutcome",
     "ConcentrationPlan",
-    "Configuration",
     "FixedProbRequest",
     "InterpPoint",
     "Measures",
@@ -59,6 +59,7 @@ __all__ = [
     "run_validation",
     "sample_haar_spectrum",
     "sort_descending",
+    "sweep_table",
 ]
 
 __version__ = "0.1.0"
@@ -66,7 +67,7 @@ __version__ = "0.1.0"
 #: names of the oracle module, imported on first use: only ``validate`` and
 #: the tests need them, and every CLI start would pay for the import
 _ORACLE_NAMES = frozenset({
-    "Configuration", "OracleReport", "appendix_a_check", "appendix_b_check",
+    "OracleReport", "appendix_a_check", "appendix_b_check",
     "enumerate_configurations", "enumerate_fixed_configurations", "numeric_qp_ascent",
     "relative_diffs", "run_validation",
 })

@@ -20,17 +20,11 @@ from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .interp import default_xi_grid, interpolate
+from .interp import default_xi_grid
 from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
+from .sweep import sweep_table
 
-INTERP_COLUMNS = ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"]
-EFFICIENCY_COLUMNS = [
-    "p_ref", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq", "q_value",
-]
-FIXEDPROB_COLUMNS = [
-    "p_fix", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq",
-]
 #: the grid option each sweep mode reads
 SWEEP_GRID_OPTIONS = {"efficiency": "pref_grid", "fixedprob": "pfix_grid", "interp": "xi_grid"}
 
@@ -108,19 +102,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _interp_rows(s: SchmidtSpectrum, grid) -> list[list]:
-    # point by point, so only one interpolated spectrum is alive at a time
-    rows = []
-    for xi in grid:
-        p = interpolate(s, xi)
-        m = p.measures
-        rows.append([p.xi, p.success_prob, m.purity, m.schmidt_number, m.concurrence_sq])
-    return rows
-
-
 def _cmd_interp(args) -> int:
     s = io.read_spectrum(args.spectrum)
-    io.write_csv(args.out, INTERP_COLUMNS, _interp_rows(s, default_xi_grid(args.grid_points)))
+    io.write_csv(args.out, *sweep_table(s, "interp", default_xi_grid(args.grid_points)))
     return 0
 
 
@@ -154,28 +138,10 @@ def _load_sweep_spectrum(args) -> SchmidtSpectrum:
     return sample_haar_spectrum(spec)[0]
 
 
-def _sweep_rows(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[list]]:
-    """The sweep table: its header and one row per grid value, in grid order."""
-    if mode == "interp":
-        return INTERP_COLUMNS, _interp_rows(s, grid)
-    header = EFFICIENCY_COLUMNS if mode == "efficiency" else FIXEDPROB_COLUMNS
-    rows = []
-    for v in grid:
-        if mode == "efficiency":
-            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v))
-        else:
-            o = optimal_plan_fixed(s, FixedProbRequest(v))
-        m = o.post_measures
-        row = [v, o.plan.n_opt, o.p_success, m.purity, m.schmidt_number,
-               m.concurrence_sq, o.q_value]
-        rows.append(row[: len(header)])
-    return header, rows
-
-
 def _cmd_sweep(args) -> int:
     s = _load_sweep_spectrum(args)
     grid_text = getattr(args, SWEEP_GRID_OPTIONS[args.mode])
-    header, rows = _sweep_rows(s, args.mode, parse_grid(grid_text, s.dim).tolist())
+    header, rows = sweep_table(s, args.mode, parse_grid(grid_text, s.dim).tolist())
     if args.format == "csv":
         io.write_csv(args.out, header, rows)
     else:

@@ -58,7 +58,13 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
 
 
 def interp_sweep(s: SchmidtSpectrum, grid) -> list[InterpPoint]:
-    """Evaluate :func:`interpolate` over a grid, preserving grid order."""
+    """Evaluate :func:`interpolate` over a grid, preserving grid order.
+
+    Every point's spectrum is kept, so memory grows as O(G·D); sweeps go
+    point by point through :func:`schmidt_forge.sweep.sweep_table` instead.
+    The function stays because the benchmark's interp child calls it, and
+    its deletion waits until the benchmark stops doing so (ROADMAP item 1).
+    """
     return [interpolate(s, xi) for xi in grid]
 
 

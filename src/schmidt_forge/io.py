@@ -15,14 +15,13 @@ header, so outputs diff cleanly across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .efficiency import ConcentrationOutcome
 from .errors import IoError, NotNormalizedError, ParseError, SchemaError, SchmidtForgeError
-from .spectrum import SchmidtSpectrum, _frozen_array, make_spectrum
+from .spectrum import SchmidtSpectrum, make_spectrum
 
 OUTCOME_MODES = {"efficiency": "p_ref", "fixedprob": "p_fix"}
 
@@ -164,58 +163,6 @@ def outcome_dict(outcome: ConcentrationOutcome, mode: str, ref_value: float) -> 
     }
 
 
-@dataclass(frozen=True, eq=False)
-class OutcomeRecord:
-    """An outcome file read back: the fields of ``outcome_dict``, with the
-    mode recovered from the leading field name. ``y`` and ``post_spectrum``
-    are read-only float arrays."""
-
-    mode: str
-    ref_value: float
-    n_opt: int
-    crop_level: float
-    y: np.ndarray
-    p_success: float
-    post_spectrum: np.ndarray
-    purity: float
-    schmidt_number: float
-    concurrence_sq: float
-    q_value: float | None
-
-
-def read_outcome(path) -> OutcomeRecord:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    mode = next((m for m, key in OUTCOME_MODES.items() if key in data), None)
-    if mode is None:
-        raise SchemaError(f"{path}: neither p_ref nor p_fix present")
-    key = OUTCOME_MODES[mode]
-    required = {
-        key, "n_opt", "crop_level", "y", "p_success", "post_spectrum",
-        "purity", "schmidt_number", "concurrence_sq", "q_value",
-    }
-    missing = required - data.keys()
-    if missing:
-        raise SchemaError(f"{path}: missing fields {sorted(missing)}")
-    try:
-        return OutcomeRecord(
-            mode=mode,
-            ref_value=float(data[key]),
-            n_opt=int(data["n_opt"]),
-            crop_level=float(data["crop_level"]),
-            y=_frozen_array([float(v) for v in data["y"]]),
-            p_success=float(data["p_success"]),
-            post_spectrum=_frozen_array([float(v) for v in data["post_spectrum"]]),
-            purity=float(data["purity"]),
-            schmidt_number=float(data["schmidt_number"]),
-            concurrence_sq=float(data["concurrence_sq"]),
-            q_value=None if data["q_value"] is None else float(data["q_value"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed field: {exc}") from exc
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of numbers (ints kept as ints) under a mandatory header."""
     def cell(v) -> str:
@@ -229,16 +176,3 @@ def write_csv(path, header: list[str], rows) -> None:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def read_csv(path) -> tuple[list[str], list[list[float]]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise SchemaError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    return header, rows

@@ -8,6 +8,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,8 +145,9 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
     with np.errstate(over="ignore"):
         squares = arr * arr if input_kind == "amplitudes" else arr
         total = float(np.add.reduce(squares, axis=None))
-    if normalize and total == math.inf:
-        # the squares or their sum overflow: divide by the largest entry first
+    if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
+        # the squares or their sum overflow, or underflow to a subnormal sum
+        # that has lost digits or to 0: divide by the largest entry first
         arr = arr / hi
         squares = arr * arr if input_kind == "amplitudes" else arr
         total = float(np.add.reduce(squares, axis=None))
@@ -180,7 +182,9 @@ def sort_descending(s: SchmidtSpectrum) -> tuple[SchmidtSpectrum, tuple[int, ...
 
     Returns the sorted spectrum and a permutation mapping sorted index to
     original index. The sort is stable: ties keep their original order, so
-    repeated coefficients always produce the same permutation.
+    repeated coefficients always produce the same permutation. No planner
+    sorts; the function stays because the benchmark traces it by name, and
+    its deletion waits until the benchmark stops doing so (ROADMAP item 1).
     """
     perm = np.argsort(-s.sq_coeffs, kind="stable")
     sorted_spectrum = SchmidtSpectrum(s.dim, s.sq_coeffs[perm])

@@ -1,5 +1,7 @@
 """Shared strategies and generators for the test suite."""
 
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 
@@ -32,6 +34,12 @@ def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0):
     lo = 1.0 / dim
     u = rng.uniform(margin, 1.0)
     return ReferenceLevel(dim, lo + u * (1.0 - lo))
+
+
+def read_csv(path) -> tuple[list[str], list[list[float]]]:
+    """A CSV table the package wrote: its header and rows of floats."""
+    header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return header.split(","), [[float(v) for v in line.split(",")] for line in lines]
 
 
 def reference_render(value) -> str:

@@ -13,11 +13,12 @@ from schmidt_forge import (
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
+    sweep_table,
 )
 from schmidt_forge.cli import main, parse_grid
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
-from helpers import haar
+from helpers import haar, read_csv
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -90,7 +91,7 @@ class TestInterpCommand:
             "interp", "--spectrum", str(worked_spectrum),
             "--grid-points", "11", "--out", str(out),
         ]) == 0
-        header, rows = io.read_csv(out)
+        header, rows = read_csv(out)
         assert header == ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"]
         assert len(rows) == 11
         assert rows[0][0] == 0.0 and rows[0][1] == 1.0
@@ -115,10 +116,10 @@ class TestConcentrateCommand:
             "concentrate", "--spectrum", str(worked_spectrum),
             "--pref", "0.25", "--out", str(out),
         ]) == 0
-        record = io.read_outcome(out)
-        assert record.p_success == pytest.approx(0.4, abs=1e-12)
-        assert np.allclose(record.post_spectrum, 0.25, atol=1e-12)
-        assert record.n_opt == 4
+        record = json.loads(out.read_text())
+        assert record["p_success"] == pytest.approx(0.4, abs=1e-12)
+        assert np.allclose(record["post_spectrum"], 0.25, atol=1e-12)
+        assert record["n_opt"] == 4
 
     def test_cref_sq_flag(self, worked_spectrum, capsys):
         assert main([
@@ -188,7 +189,7 @@ class TestSweepCommand:
             "sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
             "--pref-grid", "log:1/D:1:25", "--out", str(out),
         ]) == 0
-        header, rows = io.read_csv(out)
+        header, rows = read_csv(out)
         assert header == [
             "p_ref", "n_opt", "p_success", "purity",
             "schmidt_number", "concurrence_sq", "q_value",
@@ -214,7 +215,7 @@ class TestSweepCommand:
                 "--pref-grid", "log:1/D:1:30", "--pfix-grid", "log:0.001:1:30",
                 "--out", str(out),
             ]) == 0
-            _, rows = io.read_csv(out)
+            _, rows = read_csv(out)
             assert len(rows) == 30
             for row in rows:
                 if mode == "efficiency":
@@ -232,7 +233,7 @@ class TestSweepCommand:
             "sweep", "--spectrum", str(worked_spectrum), "--mode", "fixedprob",
             "--pfix-grid", "lin:0.2:1:9", "--out", str(out),
         ]) == 0
-        header, rows = io.read_csv(out)
+        header, rows = read_csv(out)
         assert header == [
             "p_fix", "n_opt", "p_success", "purity", "schmidt_number", "concurrence_sq",
         ]
@@ -256,8 +257,12 @@ class TestSweepCommand:
             "sweep", "--dim", "8", "--seed", "3", "--mode", "efficiency",
             "--pref-grid", "lin:0.2:0.9:5", "--out", str(out),
         ]) == 0
-        _, rows = io.read_csv(out)
+        _, rows = read_csv(out)
         assert len(rows) == 5
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep mode 'efficency'"):
+            sweep_table(make_spectrum(WORKED), "efficency", [0.3])
 
     def test_requires_exactly_one_source(self, worked_spectrum):
         with pytest.raises(SystemExit) as err:

@@ -1,7 +1,8 @@
-"""Golden bytes of the JSON the CLI and the io module write.
+"""Golden bytes of the JSON and CSV the CLI and the io module write.
 
-The digests were taken from files written by an element-by-element
-serializer (kept as ``helpers.reference_render``). The spectra are dyadic
+The JSON digests were taken from files written by an element-by-element
+serializer (kept as ``helpers.reference_render``); the CSV digests pin the
+sweep tables of ``sweep`` and ``interp``. The spectra are dyadic
 and the references chosen so that every dot product in a plan's measures came
 out the same when summed sequentially, in reverse, pairwise and by
 ``math.fsum``, so the digests should not depend on the BLAS build.
@@ -40,6 +41,10 @@ GOLDEN = {
     "kthreshold": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
     "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
     "sweep-json": "a8013563bc6ca754731c75d1693c847ccf627eaf5fe6943852c6365a39a227d1",
+    "sweep-csv-efficiency": "b4baee9bf08afaf1b40eec69bc74388560c03f57008b53a3b1430adf7bb21896",
+    "sweep-csv-fixedprob": "f79fe1bae49fea24628aa279c3805fd5efc79e94e780101feadfe6318e970791",
+    "sweep-csv-interp": "92c5f4d2ed405c8f198a2721f5d98eb7607849e6e2219ff756720435518b80ae",
+    "interp": "92c5f4d2ed405c8f198a2721f5d98eb7607849e6e2219ff756720435518b80ae",
 }
 
 #: plan vectors of seeded non-dyadic D = 2^12 spectra; a plan's y, x, post
@@ -101,10 +106,17 @@ def artefacts(tmp_path_factory):
         "kthreshold": ["kthreshold", "--spectrum", str(small), "--kmin", "3.5", "--gap", "0.1"],
         "sweep-json": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
                        "--pref-grid", "0.26,0.28,0.32,0.4", "--format", "json"],
+        "sweep-csv-efficiency": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
+                                 "--pref-grid", "1/D,0.28,0.34375,0.5,1"],
+        "sweep-csv-fixedprob": ["sweep", "--spectrum", str(small), "--mode", "fixedprob",
+                                "--pfix-grid", "0.5,0.625,0.8125,1"],
+        "sweep-csv-interp": ["sweep", "--spectrum", str(small), "--mode", "interp",
+                             "--xi-grid", "lin:0:1:5"],
+        "interp": ["interp", "--spectrum", str(small), "--grid-points", "5"],
     }
     for name, argv in runs.items():
-        assert main(argv + ["--out", str(tmp / f"{name}.json")]) == 0
-    out = {name: (tmp / f"{name}.json").read_bytes() for name in runs}
+        assert main(argv + ["--out", str(tmp / name)]) == 0
+    out = {name: (tmp / name).read_bytes() for name in runs}
     out["spectrum-small"] = small.read_bytes()
     out["spectrum-large"] = (tmp / "spectrum-large.json").read_bytes()
     return out, small

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from schmidt_forge import (
 )
 from schmidt_forge.errors import IoError, ParseError, SchemaError
 from schmidt_forge import io
+
+from helpers import read_csv
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -80,14 +84,13 @@ class TestOutcomeRoundTrip:
         out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3))
         path = tmp_path / "o.json"
         io.write_json(io.outcome_dict(out, "efficiency", 0.3), path)
-        back = io.read_outcome(path)
-        assert back.mode == "efficiency"
-        assert back.ref_value == 0.3
-        assert back.n_opt == out.plan.n_opt
-        assert np.array_equal(back.y, out.plan.y)
-        assert np.array_equal(back.post_spectrum, out.post_spectrum.sq_coeffs)
-        assert back.q_value == out.q_value
-        assert '"p_ref"' in path.read_text()
+        back = json.loads(path.read_text())
+        assert next(iter(back)) == "p_ref"
+        assert back["p_ref"] == 0.3
+        assert back["n_opt"] == out.plan.n_opt
+        assert np.array_equal(back["y"], out.plan.y)
+        assert np.array_equal(back["post_spectrum"], out.post_spectrum.sq_coeffs)
+        assert back["q_value"] == out.q_value
 
     def test_fixedprob_outcome_null_q(self, tmp_path):
         s = make_spectrum(WORKED)
@@ -95,18 +98,11 @@ class TestOutcomeRoundTrip:
         path = tmp_path / "o.json"
         io.write_json(io.outcome_dict(out, "fixedprob", 0.7), path)
         text = path.read_text()
-        assert '"p_fix"' in text
         assert '"q_value": null' in text
-        back = io.read_outcome(path)
-        assert back.mode == "fixedprob"
-        assert back.q_value is None
-        assert back.purity == out.post_measures.purity
-
-    def test_unknown_mode_schema_error(self, tmp_path):
-        path = tmp_path / "o.json"
-        path.write_text('{"n_opt": 1}')
-        with pytest.raises(SchemaError):
-            io.read_outcome(path)
+        back = json.loads(text)
+        assert next(iter(back)) == "p_fix"
+        assert back["q_value"] is None
+        assert back["purity"] == out.post_measures.purity
 
 
 class TestCsv:
@@ -114,7 +110,7 @@ class TestCsv:
         path = tmp_path / "t.csv"
         rows = [[0.1, 3, 1 / 7], [0.2, 2, 2 / 3]]
         io.write_csv(path, ["a", "b", "c"], rows)
-        header, back = io.read_csv(path)
+        header, back = read_csv(path)
         assert header == ["a", "b", "c"]
         assert back[0][2] == 1 / 7
         assert back[1][2] == 2 / 3

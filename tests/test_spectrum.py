@@ -88,6 +88,14 @@ class TestMakeSpectrum:
                 make_spectrum(values, input_kind)
         assert s.sq_coeffs.tolist() == [0.5, 0.5]
 
+    @pytest.mark.parametrize("values, input_kind, want", [
+        ([1e-200, 1e-200], "amplitudes", [0.5, 0.5]),  # the squares underflow to 0
+        ([1e-161, 2e-161], "amplitudes", [0.2, 0.8]),  # their sum is subnormal
+        ([5e-324, 5e-324], "squared", [0.5, 0.5]),
+    ])
+    def test_underflowing_input_is_normalized(self, values, input_kind, want):
+        assert make_spectrum(values, input_kind, normalize=True).sq_coeffs.tolist() == want
+
     def test_zero_coefficients_admitted(self):
         s = make_spectrum([0.7, 0.3, 0.0])
         assert s.rank == 2
@@ -269,7 +277,7 @@ class TestDerivedSpectra:
         for t in derived:
             SchmidtSpectrum(d, np.array(t.sq_coeffs))
 
-    @given(spectra(max_dim=10, zeros=True), st.floats(1e-100, 1e100))
+    @given(spectra(max_dim=10, zeros=True), st.floats(1e-300, 1e300))
     def test_ingested_spectra(self, s, scale):
         sq = s.sq_coeffs
         for t in (
