@@ -42,6 +42,7 @@ __all__ = [
     "appendix_a_check",
     "appendix_b_check",
     "apply_plan",
+    "best_zero_face_gain",
     "default_xi_grid",
     "duality_check",
     "efficiency_q",
@@ -67,7 +68,7 @@ __version__ = "0.1.0"
 #: names of the oracle module, imported on first use: only ``validate`` and
 #: the tests need them, and every CLI start would pay for the import
 _ORACLE_NAMES = frozenset({
-    "OracleReport", "appendix_a_check", "appendix_b_check",
+    "OracleReport", "appendix_a_check", "appendix_b_check", "best_zero_face_gain",
     "enumerate_configurations", "enumerate_fixed_configurations", "numeric_qp_ascent",
     "relative_diffs", "run_validation",
 })

@@ -15,6 +15,7 @@ the orthotope 0 <= x_m <= a_m^2, and L solves L = P_ref * sum_m min(a_m^2, L).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ FEAS_TOL = 1e-12
 #: rounding of 1 - (D-1)/D * c_ref^2 at c_ref = 1, which lands within a
 #: quarter ulp of 1 of 1/D but up to 6e-11 from it relative to 1/D
 P_REF_TOL = 2.0**-53
+#: smallest positive normal float
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +214,11 @@ def _efficiency_level(
         beta = float(np.add.reduce(rest))
         if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
             return level, n, rest, beta
-        level = p_ref * beta / (1.0 - n * p_ref)
+        num = p_ref * beta
+        denom = 1.0 - n * p_ref
+        # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
+        # root is representable: then divide first
+        level = num / denom if num >= _MIN_NORMAL else beta / denom * p_ref
         n_prev = n
 
 

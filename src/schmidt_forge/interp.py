@@ -9,6 +9,7 @@ worth having; nothing here is optimized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,10 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
     # a convex combination of two valid spectra: (1/D - a^2) * xi lies between
     # 0 and 1/D - a^2, so every b^2 lies between a^2 and 1/D, and they sum to 1
     spectrum = SchmidtSpectrum(d, _Owned(b_sq))
-    p = 1.0 / (1.0 - xi + xi / (d * amin))
+    w = d * amin
+    ratio = xi / w
+    # a subnormal D * a_min^2 overflows the ratio: multiply through by w
+    p = 1.0 / (1.0 - xi + ratio) if ratio < math.inf else w / ((1.0 - xi) * w + xi)
     return InterpPoint(xi, spectrum, p, measures(spectrum))
 
 

@@ -2,11 +2,18 @@
 
 Two routes certify the planners without reusing their logic:
 
-* exhaustive active-set enumeration: every assignment of coordinates to the
-  zero / upper-bound / interior sets yields at most one critical point, all of
-  which (plus the corner points) are scored directly;
+* exhaustive active-set enumeration: the identity corner and every nonempty
+  interior set cut to its critical level are the candidate maximizers;
 * multi-start box-projected gradient ascent on the quadratic payoff, a
   library-free stand-in for a numerical QP solver.
+
+Both enumerators score one table of active sets, and their reports carry it
+as arrays: the interior masks (in efficiency mode the all-False row 0 is the
+identity corner), each row's value (-inf or inf where infeasible) and the
+winning row. Zeroing a set Z of coordinates leaves exactly the payoff of the
+coefficients outside Z, so ``best_zero_face_gain`` scores the same table on
+sq[~Z] for every nonempty Z: with sq itself, all 3^D zero / upper-bound /
+interior assignments.
 
 For dimensions beyond enumeration, the sorted-prefix scans give each
 planner's crop count and water level from a descending sort, with no
@@ -20,18 +27,12 @@ components can only lower the payoff.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .efficiency import (
-    FEAS_TOL,
-    ReferenceLevel,
-    _scale,
-    optimal_plan_efficiency,
-)
+from .efficiency import FEAS_TOL, ReferenceLevel, _scale, optimal_plan_efficiency
 from .errors import (
     MAX_ENUM_DIM,
     MIN_VALIDATION_DIM,
@@ -43,58 +44,56 @@ from .errors import (
     SchmidtForgeError,
     SpectralBoundViolatedError,
 )
-from .fixedprob import FixedProbRequest, optimal_plan_fixed
+from .fixedprob import FixedProbRequest, duality_check, optimal_plan_fixed
 from .spectrum import SchmidtSpectrum
 
 #: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One active-set assignment and its critical point.
-
-    ``level`` is the common value of the interior coordinates (the crop
-    level), NaN for pure corner points. ``value`` is the scaled payoff in
-    efficiency mode and the post-state purity in fixed-probability mode.
-    """
-
-    zero_set: tuple[int, ...]
-    outer_set: tuple[int, ...]
-    inner_set: tuple[int, ...]
-    n: int
-    beta: float
-    gamma: float
-    level: float
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Best point found by an oracle plus comparison metrics.
+    """Best point found by an oracle.
 
-    ``delta_y_relative`` / ``delta_q_relative`` compare the oracle's best
-    point against the closed-form planner;  None when the metric is undefined
-    (zero denominator).
+    The enumerators fill ``inner``, ``values`` and ``best``: one interior mask
+    per scored row, its scaled payoff or post-state purity, and the winning
+    row. The ascent fills the relative differences to the closed-form plan
+    instead; None when undefined (zero denominator) or the planner fails.
     """
 
-    mode: str
     best_y: np.ndarray
-    best_q: float | None
-    best_purity: float | None
-    configurations_tested: int
-    delta_y_relative: float | None
-    delta_q_relative: float | None
+    best_q: float | None = None
+    best_purity: float | None = None
+    inner: np.ndarray | None = None
+    values: np.ndarray | None = None
+    best: int | None = None
+    delta_y_relative: float | None = None
+    delta_q_relative: float | None = None
     converged: bool = True
-    best_config: Configuration | None = None
-    candidates: tuple[Configuration, ...] | None = None
 
 
 @lru_cache(maxsize=None)
-def _inner_masks(dim: int) -> np.ndarray:
-    """Boolean membership table of every nonempty subset of range(dim)."""
-    masks = np.arange(1, 1 << dim, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(dim)) & 1).astype(bool)
+def _subset_masks(dim: int) -> np.ndarray:
+    """Read-only membership table of every subset of range(dim); row 0 is empty."""
+    masks = np.arange(1 << dim, dtype=np.uint32)
+    table = ((masks[:, None] >> np.arange(dim)) & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
+def _active_sets(sq: np.ndarray):
+    """Every nonempty interior set of ``sq``: its mask, size n, beta = sum a^2
+    and gamma = sum a^4 outside it, and the smallest a^2 inside it.
+    Guarded to D <= MAX_ENUM_DIM."""
+    if sq.size > MAX_ENUM_DIM:
+        raise DimensionTooLargeError(f"enumeration guarded to D <= {MAX_ENUM_DIM}")
+    inner = _subset_masks(sq.size)[1:]
+    outer = ~inner
+    n = inner.sum(axis=1)
+    beta = outer @ sq
+    gamma = outer @ (sq * sq)
+    inner_min = np.where(inner, sq, np.inf).min(axis=1, initial=np.inf)
+    return inner, n, beta, gamma, inner_min
 
 
 def relative_diffs(y_num, y_alg, q_num: float, q_alg: float) -> tuple[float, float]:
@@ -114,253 +113,93 @@ def relative_diffs(y_num, y_alg, q_num: float, q_alg: float) -> tuple[float, flo
     return delta_y, delta_q
 
 
-def _guarded_diffs(y_num, y_alg, q_num, q_alg):
-    try:
-        return relative_diffs(y_num, y_alg, q_num, q_alg)
-    except DivisionByZeroGuardError:
-        return None, None
+def _efficiency_table(sq: np.ndarray, p_ref: float):
+    """Crop levels and unscaled payoffs of the identity corner (row 0, level
+    NaN) and of every active set: level alpha = P_ref * beta / (1 - n * P_ref)
+    and payoff alpha * beta - gamma where the curvature bound 1 - n * P_ref > 0
+    holds and alpha fits the orthotope, -inf elsewhere."""
+    _, n, beta, gamma, inner_min = _active_sets(sq)
+    denom = 1.0 - n * p_ref
+    curv_ok = denom > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(curv_ok, p_ref * beta / denom, np.inf)
+    feasible = curv_ok & (alpha >= -FEAS_TOL) & (alpha <= inner_min + FEAS_TOL)
+    alpha_safe = np.where(feasible, alpha, 0.0)  # keep inf out of the arithmetic
+    q_crit = np.where(feasible, alpha_safe * beta - gamma, -np.inf)
+    total = float(np.sum(sq))
+    q_corner = p_ref * total * total - float(np.dot(sq, sq))
+    return np.concatenate(([np.nan], alpha)), np.concatenate(([q_corner], q_crit))
 
 
-def _config_from_mask(inner: np.ndarray, n: int, beta, gamma, level, value) -> Configuration:
-    idx = np.arange(inner.size)
-    return Configuration(
-        zero_set=(),
-        outer_set=tuple(int(i) for i in idx[~inner]),
-        inner_set=tuple(int(i) for i in idx[inner]),
-        n=int(n),
-        beta=float(beta),
-        gamma=float(gamma),
-        level=float(level),
-        value=float(value),
+def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleReport:
+    """Exhaustively score every candidate maximizer of the efficiency payoff.
+
+    The identity corner (row 0) and all 2^D - 1 nonempty interior sets are
+    scored; the winner is taken on the unscaled payoffs, and the identity
+    wins ties. :func:`best_zero_face_gain` checks that points with zeroed
+    coordinates never beat this winner.
+    """
+    d = s.dim
+    sq = s.sq_coeffs
+    level, q = _efficiency_table(sq, ref.p_ref)
+    inner = _subset_masks(d)
+    best = int(np.argmax(q))  # the first maximum: row 0 on a tie
+    x = np.where(inner[best], float(level[best]), sq)
+    scale = _scale(d)
+    return OracleReport(
+        best_y=np.divide(x, sq, out=np.ones(d), where=sq > 0.0),
+        best_q=scale * float(q[best]),
+        inner=inner,
+        values=scale * q,
+        best=best,
     )
 
 
-def enumerate_configurations(
-    s: SchmidtSpectrum,
-    ref: ReferenceLevel,
-    keep_candidates: bool = False,
-    include_zero_faces: bool = False,
-) -> OracleReport:
-    """Exhaustively score every candidate maximizer of the efficiency payoff.
+def best_zero_face_gain(s: SchmidtSpectrum, ref: ReferenceLevel) -> float:
+    """Scaled payoff by which the best point with a zeroed coordinate beats
+    the enumeration's winner; never positive, since zeroing never helps.
 
-    All 2^D - 1 nonempty interior sets (with empty zero set) are tried: each
-    contributes a critical point when the curvature bound 1 - n * P_ref > 0
-    holds and its crop level fits the orthotope. The identity corner competes
-    as well. With ``include_zero_faces`` the full 3^D assignment space is
-    scanned (cost-guarded to small D) so points with zeroed coordinates also
-    compete; they never win, which is exactly what that switch verifies.
+    Each of the 2^D - 1 nonempty zero sets Z scores the efficiency table of
+    the coefficients outside Z (an empty remainder scores 0): the 3^D - 2^D
+    assignments with a zeroed coordinate. Guarded to D <= MAX_ZERO_FACE_DIM.
     """
     d = s.dim
-    if d > MAX_ENUM_DIM:
-        raise DimensionTooLargeError(f"enumeration guarded to D <= {MAX_ENUM_DIM}")
-    if include_zero_faces and d > MAX_ZERO_FACE_DIM:
+    if d > MAX_ZERO_FACE_DIM:
         raise DimensionTooLargeError(
             f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}"
         )
     sq = s.sq_coeffs
     p_ref = ref.p_ref
-    scale = _scale(d)
-
-    inner = _inner_masks(d)
-    n = inner.sum(axis=1)
-    outer = ~inner
-    beta = outer @ sq
-    gamma = outer @ (sq * sq)
-    denom = 1.0 - n * p_ref
-    curv_ok = denom > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(curv_ok, p_ref * beta / denom, np.inf)
-    inner_min = np.where(inner, sq, np.inf).min(axis=1)
-    feasible = curv_ok & (alpha >= -FEAS_TOL) & (alpha <= inner_min + FEAS_TOL)
-    alpha_safe = np.where(feasible, alpha, 0.0)  # keep inf out of the arithmetic
-    q_crit = np.where(feasible, alpha_safe * beta - gamma, -np.inf)
-
-    total = float(np.sum(sq))
-    q_corner = p_ref * total * total - float(np.dot(sq, sq))
-
-    best_i = int(np.argmax(q_crit))
-    if np.any(feasible) and q_crit[best_i] > q_corner:
-        level = float(alpha[best_i])
-        mask = inner[best_i]
-        x = np.where(mask, level, sq)
-        best_q_unscaled = float(q_crit[best_i])
-        best_config = _config_from_mask(
-            mask, n[best_i], beta[best_i], gamma[best_i], level, scale * best_q_unscaled
-        )
-    else:
-        x = sq.copy()
-        best_q_unscaled = q_corner
-        best_config = Configuration(
-            zero_set=(),
-            outer_set=tuple(range(d)),
-            inner_set=(),
-            n=0,
-            beta=total,
-            gamma=float(np.dot(sq, sq)),
-            level=float("nan"),
-            value=scale * q_corner,
-        )
-
-    if include_zero_faces:
-        zbest = _best_over_zero_faces(sq, p_ref)
-        if zbest is not None and zbest[0] > best_q_unscaled:
-            best_q_unscaled, x, best_config = zbest
-
-    best_y = np.divide(x, sq, out=np.ones(d), where=sq > 0.0)
-    best_q = scale * best_q_unscaled
-
-    candidates = None
-    if keep_candidates:
-        cands = []
-        for i in np.nonzero(feasible)[0]:
-            cands.append(
-                _config_from_mask(
-                    inner[i], n[i], beta[i], gamma[i], alpha[i], scale * q_crit[i]
-                )
-            )
-        cands.append(
-            Configuration(
-                zero_set=(),
-                outer_set=tuple(range(d)),
-                inner_set=(),
-                n=0,
-                beta=total,
-                gamma=float(np.dot(sq, sq)),
-                level=float("nan"),
-                value=scale * q_corner,
-            )
-        )
-        candidates = tuple(cands)
-
-    delta_y = delta_q = None
-    try:
-        alg = optimal_plan_efficiency(s, ref)
-    except SchmidtForgeError:
-        alg = None
-    if alg is not None:
-        delta_y, delta_q = _guarded_diffs(best_y, alg.plan.y, best_q, alg.q_value)
-
-    return OracleReport(
-        mode="efficiency",
-        best_y=best_y,
-        best_q=best_q,
-        best_purity=None,
-        configurations_tested=1 << d,
-        delta_y_relative=delta_y,
-        delta_q_relative=delta_q,
-        converged=True,
-        best_config=best_config,
-        candidates=candidates,
+    best = float(np.max(_efficiency_table(sq, p_ref)[1]))
+    faces = max(
+        float(np.max(_efficiency_table(sq[~zero], p_ref)[1]))
+        for zero in _subset_masks(d)[1:]
     )
+    return _scale(d) * (faces - best)
 
 
-def _best_over_zero_faces(sq: np.ndarray, p_ref: float):
-    """Scan all 3^D zero/outer/inner assignments; return the best scored point."""
-    d = sq.size
-    idx = np.arange(d)
-    best = None
-    for assign in itertools.product((0, 1, 2), repeat=d):
-        a = np.asarray(assign)
-        zero = a == 0
-        outer = a == 1
-        inner = a == 2
-        n = int(inner.sum())
-        beta = float(sq[outer].sum())
-        gamma = float((sq[outer] ** 2).sum())
-        if n:
-            denom = 1.0 - n * p_ref
-            if denom <= 0.0:
-                continue
-            alpha = p_ref * beta / denom
-            if alpha < -FEAS_TOL or alpha > float(sq[inner].min()) + FEAS_TOL:
-                continue
-            q = alpha * beta - gamma
-            level = alpha
-            x = np.where(inner, alpha, np.where(outer, sq, 0.0))
-        else:
-            q = p_ref * beta * beta - gamma
-            level = float("nan")
-            x = np.where(outer, sq, 0.0)
-        if best is None or q > best[0]:
-            config = Configuration(
-                zero_set=tuple(int(i) for i in idx[zero]),
-                outer_set=tuple(int(i) for i in idx[outer]),
-                inner_set=tuple(int(i) for i in idx[inner]),
-                n=n,
-                beta=beta,
-                gamma=gamma,
-                level=level,
-                value=_scale(d) * q,
-            )
-            best = (q, x, config)
-    return best
-
-
-def enumerate_fixed_configurations(
-    s: SchmidtSpectrum,
-    p_fix: float,
-    keep_candidates: bool = False,
-) -> OracleReport:
+def enumerate_fixed_configurations(s: SchmidtSpectrum, p_fix: float) -> OracleReport:
     """Exhaustively minimize post-state purity at a fixed success probability.
 
-    Every nonempty interior subset contributes one candidate with common crop
-    level kappa = (p_fix - beta) / n when kappa fits the orthotope; purity is
-    convex, so these cover every local (hence the global) minimum.
+    Every nonempty interior set contributes one candidate with common crop
+    level kappa = (p_fix - beta) / n when kappa fits the orthotope (purity
+    inf elsewhere); purity is convex, so these cover every local (hence the
+    global) minimum.
     """
     d = s.dim
-    if d > MAX_ENUM_DIM:
-        raise DimensionTooLargeError(f"enumeration guarded to D <= {MAX_ENUM_DIM}")
     sq = s.sq_coeffs
-
-    inner = _inner_masks(d)
-    n = inner.sum(axis=1)
-    outer = ~inner
-    beta = outer @ sq
-    gamma = outer @ (sq * sq)
+    inner, n, beta, gamma, inner_min = _active_sets(sq)
     kappa = (p_fix - beta) / n
-    inner_min = np.where(inner, sq, np.inf).min(axis=1)
     feasible = (kappa >= -FEAS_TOL) & (kappa <= inner_min + FEAS_TOL)
-    sum_x_sq = gamma + n * kappa**2
-    purity = np.where(feasible, sum_x_sq / (p_fix * p_fix), np.inf)
-
-    best_i = int(np.argmin(purity))
-    best_purity = float(purity[best_i])
-    level = float(max(kappa[best_i], 0.0))
-    mask = inner[best_i]
-    x = np.where(mask, level, sq)
-    best_config = _config_from_mask(
-        mask, n[best_i], beta[best_i], gamma[best_i], level, best_purity
-    )
-    best_y = np.divide(x, sq, out=np.ones(d), where=sq > 0.0)
-
-    candidates = None
-    if keep_candidates:
-        candidates = tuple(
-            _config_from_mask(inner[i], n[i], beta[i], gamma[i], kappa[i], purity[i])
-            for i in np.nonzero(feasible)[0]
-        )
-
-    delta_y = delta_q = None
-    try:
-        alg = optimal_plan_fixed(s, FixedProbRequest(p_fix))
-    except SchmidtForgeError:
-        alg = None
-    if alg is not None:
-        delta_y, delta_q = _guarded_diffs(
-            best_y, alg.plan.y, best_purity, alg.post_measures.purity
-        )
-
+    purity = np.where(feasible, (gamma + n * kappa**2) / (p_fix * p_fix), np.inf)
+    best = int(np.argmin(purity))
+    x = np.where(inner[best], float(max(kappa[best], 0.0)), sq)
     return OracleReport(
-        mode="fixedprob",
-        best_y=best_y,
-        best_q=None,
-        best_purity=best_purity,
-        configurations_tested=1 << d,
-        delta_y_relative=delta_y,
-        delta_q_relative=delta_q,
-        converged=True,
-        best_config=best_config,
-        candidates=candidates,
+        best_y=np.divide(x, sq, out=np.ones(d), where=sq > 0.0),
+        best_purity=float(purity[best]),
+        inner=inner,
+        values=purity,
+        best=best,
     )
 
 
@@ -394,7 +233,6 @@ def numeric_qp_ascent(
     p_ref = ref.p_ref
     scale = _scale(d)
     rng = np.random.default_rng(seed)
-    positive = sq > 0.0
 
     def q_of_x(x: np.ndarray) -> float:
         total = x.sum()
@@ -451,18 +289,18 @@ def numeric_qp_ascent(
         converged = converged or met
         if best_x is None or q_end > best_q + 1e-12 * max(abs(best_q), abs(q_end), 1e-300):
             best_x, best_q = x_end, q_end
-    best_y = np.divide(best_x, sq, out=np.ones(d), where=positive)
+    best_y = np.divide(best_x, sq, out=np.ones(d), where=sq > 0.0)
 
     delta_y = delta_q = None
     if alg is not None:
-        delta_y, delta_q = _guarded_diffs(best_y, alg.plan.y, best_q, alg.q_value)
+        try:
+            delta_y, delta_q = relative_diffs(best_y, alg.plan.y, best_q, alg.q_value)
+        except DivisionByZeroGuardError:
+            pass
 
     return OracleReport(
-        mode="efficiency",
         best_y=best_y,
         best_q=float(best_q),
-        best_purity=None,
-        configurations_tested=len(starts),
         delta_y_relative=delta_y,
         delta_q_relative=delta_q,
         converged=converged,
@@ -652,8 +490,6 @@ def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> li
         s = haar(d)
         u = rng.uniform(0.0, 1.0)
         ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
-        from .fixedprob import duality_check
-
         if not duality_check(s, ref):
             fails += 1
     results.append(ValidationResult("duality", fails == 0, f"failures={fails}"))

@@ -370,3 +370,12 @@ def test_cli_import_leaves_oracle_unloaded():
     check = "import sys, schmidt_forge.cli; sys.exit('schmidt_forge.oracle' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_package_exports_resolve():
+    # the oracle names load lazily, so only getattr shows that each one exists
+    import schmidt_forge
+
+    assert schmidt_forge._ORACLE_NAMES <= set(schmidt_forge.__all__)
+    for name in schmidt_forge.__all__:
+        assert getattr(schmidt_forge, name) is not None, name

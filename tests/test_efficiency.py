@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,7 +19,6 @@ from schmidt_forge import (
 )
 from schmidt_forge.errors import (
     DimensionMismatchError,
-    InfeasibleError,
     OutOfRangeError,
     PFixOutOfRangeError,
     RankDeficientFullConcentrationError,
@@ -204,13 +205,30 @@ class TestOptimalPlan:
             zero_idx = np.where(s.sq_coeffs == 0.0)[0]
             assert np.all(out.plan.y[zero_idx] == 1.0)
 
-    @pytest.mark.parametrize("values", [[0.5, 0.5, 5e-324], [0.5, 0.5, 5e-324, 0.0]])
-    def test_underflowing_level_is_a_typed_error(self, values):
-        # the first Newton step P_ref * beta / (1 - n * P_ref) rounds its
-        # numerator 0.49 * 5e-324 to 0, though the root itself is representable
+    @pytest.mark.parametrize(
+        "values, p_ref",
+        [
+            ([0.5, 0.5, 5e-324], 0.49),
+            ([0.5, 0.5, 5e-324, 0.0], 0.49),
+            ([1.0, 5e-324, 1e-310], 0.4),
+        ],
+    )
+    def test_subnormal_level_is_solved(self, values, p_ref):
+        # the Newton step P_ref * beta / (1 - n * P_ref) would round its
+        # numerator (0.49 * 5e-324, 0.4 * 5e-324) to 0, though the root is
+        # representable
         s = make_spectrum(values)
-        with pytest.raises(InfeasibleError, match="water level underflows to 0:"):
-            optimal_plan_efficiency(s, ReferenceLevel(s.dim, 0.49))
+        out = optimal_plan_efficiency(s, ReferenceLevel(s.dim, p_ref))
+        level = out.plan.crop_level
+        assert level > 0.0
+        assert out.plan.n_opt == 2 == np.count_nonzero(s.sq_coeffs >= level)
+        # the exact residual of L = P_ref * sum min(a^2, L) is within one
+        # subnormal ulp
+        cut = sum(min(Fraction(a), Fraction(level)) for a in s.sq_coeffs.tolist())
+        assert abs(Fraction(level) - Fraction(p_ref) * cut) <= Fraction(5e-324)
+        # the fixed-probability dual at the plan's p_success cuts at the same level
+        dual = optimal_plan_fixed(s, FixedProbRequest(out.p_success))
+        assert (dual.plan.crop_level, dual.plan.n_opt) == (level, 2)
 
     def test_dimension_mismatch(self):
         s = make_spectrum(WORKED)

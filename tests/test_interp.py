@@ -45,6 +45,14 @@ class TestInterpolate:
         # xi = 0 needs no filter and stays legal
         assert interpolate(s, 0.0).success_prob == 1.0
 
+    @pytest.mark.parametrize("xi, ulps", [(1.0, 3), (0.5, 6)])
+    def test_subnormal_success_probability(self, xi, ulps):
+        # w = D * a_min^2 = 3 * 5e-324 is subnormal, so xi / w overflows to
+        # inf; the probability 1 / (1 - xi + xi / w) is w at xi = 1 and 2w / (w + 1)
+        # at xi = 1/2, both a whole number of subnormal ulps
+        s = make_spectrum([1.0, 5e-324, 1e-310])
+        assert interpolate(s, xi).success_prob == ulps * 5e-324
+
 
 class TestSweep:
     def test_uniform_state_is_fixed_point(self):
