@@ -10,13 +10,11 @@ from .efficiency import (
     ConcentrationOutcome,
     ConcentrationPlan,
     ReferenceLevel,
-    apply_plan,
-    efficiency_q,
     optimal_plan_efficiency,
     reference_from,
 )
 from .errors import SchmidtForgeError
-from .fixedprob import FixedProbRequest, duality_check, optimal_plan_fixed
+from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import InterpPoint, default_xi_grid, interp_sweep, interpolate
 from .sampling import SampleSpec, sample_haar_spectrum
 from .spectrum import (
@@ -68,9 +66,10 @@ __version__ = "0.1.0"
 #: names of the oracle module, imported on first use: only ``validate`` and
 #: the tests need them, and every CLI start would pay for the import
 _ORACLE_NAMES = frozenset({
-    "OracleReport", "appendix_a_check", "appendix_b_check", "best_zero_face_gain",
-    "enumerate_configurations", "enumerate_fixed_configurations", "numeric_qp_ascent",
-    "relative_diffs", "run_validation",
+    "OracleReport", "appendix_a_check", "appendix_b_check", "apply_plan",
+    "best_zero_face_gain", "duality_check", "efficiency_q", "enumerate_configurations",
+    "enumerate_fixed_configurations", "numeric_qp_ascent", "relative_diffs",
+    "run_validation",
 })
 
 

@@ -25,7 +25,6 @@ from .errors import (
     InfeasibleError,
     OutOfRangeError,
     RankDeficientFullConcentrationError,
-    YOutOfBoxError,
 )
 from .spectrum import Measures, SchmidtSpectrum, _Owned, _frozen_array, measures
 
@@ -41,11 +40,11 @@ _MIN_NORMAL = sys.float_info.min
 
 @dataclass(frozen=True, eq=False)
 class ReferenceLevel:
-    """Reference purity P_ref with its equivalent views.
+    """Reference purity P_ref, the one number a reference level stores.
 
-    The three parameterizations (reference purity, squared reference
-    I-Concurrence, reference Schmidt number) store one number; ``p_ref`` is
-    canonical.
+    The squared reference I-Concurrence D/(D-1) * (1 - P_ref) and the
+    reference Schmidt number 1/P_ref are equivalent views of it, converted
+    only on the way in, by :func:`reference_from`.
     """
 
     dim: int
@@ -57,15 +56,6 @@ class ReferenceLevel:
             raise OutOfRangeError(
                 f"p_ref={self.p_ref!r} outside [1/{self.dim}, 1]"
             )
-
-    @property
-    def c_ref_sq(self) -> float:
-        d = self.dim
-        return (d / (d - 1.0)) * (1.0 - self.p_ref)
-
-    @property
-    def k_ref(self) -> float:
-        return 1.0 / self.p_ref
 
     @property
     def is_standard_concentration(self) -> bool:
@@ -144,22 +134,6 @@ class ConcentrationOutcome:
 
 def _scale(dim: int) -> float:
     return dim / (dim - 1.0)
-
-
-def _check_box(y: np.ndarray):
-    if np.any(y < -FEAS_TOL) or np.any(y > 1.0 + FEAS_TOL):
-        raise YOutOfBoxError("y leaves the box [0, 1]^D")
-
-
-def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
-    """Evaluate the efficiency payoff Q at an arbitrary box point."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (s.dim,):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({s.dim},)")
-    _check_box(y)
-    x = s.sq_coeffs * y
-    total = float(np.add.reduce(x))
-    return _scale(s.dim) * (ref.p_ref * total * total - float(np.dot(x, x)))
 
 
 def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
@@ -273,27 +247,3 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
     level, n, rest, beta = _efficiency_level(sq, p_ref, top)
     q = _scale(d) * (level * beta - float(rest @ rest))
     return _outcome_from_plan(s, _level_plan(s, level, n), q)
-
-
-def apply_plan(
-    s: SchmidtSpectrum, plan: ConcentrationPlan, ref: ReferenceLevel | None = None
-) -> ConcentrationOutcome:
-    """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
-
-    Everything is recomputed from ``plan.y``, so this doubles as an
-    independent check of planner-built outcomes. ``q_value`` is filled only
-    when a reference level is supplied.
-    """
-    y = np.asarray(plan.y, dtype=float)
-    if y.shape != (s.dim,):
-        raise DimensionMismatchError(
-            f"plan dimension {y.shape[0]} != spectrum dim {s.dim}"
-        )
-    _check_box(y)
-    x = s.sq_coeffs * y
-    p_success = float(np.add.reduce(x))
-    if p_success <= 0.0:
-        raise InfeasibleError("plan has zero success probability")
-    post = SchmidtSpectrum(s.dim, x / p_success)
-    q = efficiency_q(s, y, ref) if ref is not None else None
-    return ConcentrationOutcome(plan, p_success, post, measures(post), q)

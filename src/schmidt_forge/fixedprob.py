@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import (
-    FEAS_TOL,
-    ConcentrationOutcome,
-    ReferenceLevel,
-    _level_plan,
-    _outcome_from_plan,
-    optimal_plan_efficiency,
-)
+from .efficiency import FEAS_TOL, ConcentrationOutcome, _level_plan, _outcome_from_plan
 from .errors import PFixOutOfRangeError
 from .spectrum import SchmidtSpectrum
 
@@ -82,16 +75,3 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     else:
         plan = _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix))
     return _outcome_from_plan(s, plan, None)
-
-
-def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -> bool:
-    """Cross-validate the two planners against each other.
-
-    Feeding the efficiency optimum's success probability to the
-    fixed-probability planner must reproduce the same x vector: the payoff
-    maximizer is also the purity minimizer at its own success probability
-    (otherwise a lower-purity plan at equal probability would beat it).
-    """
-    eff = optimal_plan_efficiency(s, ref)
-    fixed = optimal_plan_fixed(s, FixedProbRequest(eff.p_success))
-    return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= tol)

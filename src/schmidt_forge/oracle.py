@@ -1,5 +1,10 @@
 """Independent verifiers for the closed-form planners.
 
+The re-evaluators recompute what any plan achieves from its box point y
+alone: ``efficiency_q`` (the payoff Q at y), ``apply_plan`` (the whole
+outcome of a plan) and ``duality_check`` (the efficiency optimum is also the
+purity minimizer at its own success probability).
+
 Two routes certify the planners without reusing their logic:
 
 * exhaustive active-set enumeration: the identity corner and every nonempty
@@ -32,20 +37,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .efficiency import FEAS_TOL, ReferenceLevel, _scale, optimal_plan_efficiency
+from .efficiency import (
+    _MIN_NORMAL,
+    FEAS_TOL,
+    ConcentrationOutcome,
+    ConcentrationPlan,
+    ReferenceLevel,
+    _scale,
+    optimal_plan_efficiency,
+)
 from .errors import (
     MAX_ENUM_DIM,
     MIN_VALIDATION_DIM,
     DimensionMismatchError,
     DimensionTooLargeError,
     DivisionByZeroGuardError,
+    InfeasibleError,
     NotPSDError,
     OutOfRangeError,
     SchmidtForgeError,
     SpectralBoundViolatedError,
+    YOutOfBoxError,
 )
-from .fixedprob import FixedProbRequest, duality_check, optimal_plan_fixed
-from .spectrum import SchmidtSpectrum
+from .fixedprob import FixedProbRequest, optimal_plan_fixed
+from .spectrum import SchmidtSpectrum, measures
 
 #: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
@@ -96,6 +111,63 @@ def _active_sets(sq: np.ndarray):
     return inner, n, beta, gamma, inner_min
 
 
+def _payoff(p_ref: float, x: np.ndarray) -> float:
+    """Unscaled efficiency payoff P_ref * (sum x)^2 - sum x^2 at x = a^2 * y."""
+    total = float(np.add.reduce(x))
+    return p_ref * total * total - float(x @ x)
+
+
+def _y_of(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The box point y = x / a^2 of coefficients x, with y = 1 where a^2 = 0."""
+    return np.divide(x, sq, out=np.ones(sq.size), where=sq > 0.0)
+
+
+def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
+    """The coefficients x = a^2 * y of a box point y of the spectrum's dimension."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (s.dim,):
+        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({s.dim},)")
+    if np.any(y < -FEAS_TOL) or np.any(y > 1.0 + FEAS_TOL):
+        raise YOutOfBoxError("y leaves the box [0, 1]^D")
+    return s.sq_coeffs * y
+
+
+def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
+    """Evaluate the efficiency payoff Q at an arbitrary box point."""
+    return _scale(s.dim) * _payoff(ref.p_ref, _check_box(s, y))
+
+
+def apply_plan(
+    s: SchmidtSpectrum, plan: ConcentrationPlan, ref: ReferenceLevel | None = None
+) -> ConcentrationOutcome:
+    """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
+
+    Everything is recomputed from ``plan.y``, so this doubles as an
+    independent check of planner-built outcomes. ``q_value`` is filled only
+    when a reference level is supplied.
+    """
+    x = _check_box(s, plan.y)
+    p_success = float(np.add.reduce(x))
+    if p_success <= 0.0:
+        raise InfeasibleError("plan has zero success probability")
+    post = SchmidtSpectrum(s.dim, x / p_success)
+    q = efficiency_q(s, plan.y, ref) if ref is not None else None
+    return ConcentrationOutcome(plan, p_success, post, measures(post), q)
+
+
+def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -> bool:
+    """Cross-validate the two planners against each other.
+
+    Feeding the efficiency optimum's success probability to the
+    fixed-probability planner must reproduce the same x vector: the payoff
+    maximizer is also the purity minimizer at its own success probability
+    (otherwise a lower-purity plan at equal probability would beat it).
+    """
+    eff = optimal_plan_efficiency(s, ref)
+    fixed = optimal_plan_fixed(s, FixedProbRequest(eff.p_success))
+    return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= tol)
+
+
 def relative_diffs(y_num, y_alg, q_num: float, q_alg: float) -> tuple[float, float]:
     """Mean per-coordinate relative y difference and relative payoff difference."""
     y_num = np.asarray(y_num, dtype=float)
@@ -126,9 +198,7 @@ def _efficiency_table(sq: np.ndarray, p_ref: float):
     feasible = curv_ok & (alpha >= -FEAS_TOL) & (alpha <= inner_min + FEAS_TOL)
     alpha_safe = np.where(feasible, alpha, 0.0)  # keep inf out of the arithmetic
     q_crit = np.where(feasible, alpha_safe * beta - gamma, -np.inf)
-    total = float(np.sum(sq))
-    q_corner = p_ref * total * total - float(np.dot(sq, sq))
-    return np.concatenate(([np.nan], alpha)), np.concatenate(([q_corner], q_crit))
+    return np.concatenate(([np.nan], alpha)), np.concatenate(([_payoff(p_ref, sq)], q_crit))
 
 
 def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleReport:
@@ -147,7 +217,7 @@ def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleR
     x = np.where(inner[best], float(level[best]), sq)
     scale = _scale(d)
     return OracleReport(
-        best_y=np.divide(x, sq, out=np.ones(d), where=sq > 0.0),
+        best_y=_y_of(x, sq),
         best_q=scale * float(q[best]),
         inner=inner,
         values=scale * q,
@@ -186,7 +256,6 @@ def enumerate_fixed_configurations(s: SchmidtSpectrum, p_fix: float) -> OracleRe
     inf elsewhere); purity is convex, so these cover every local (hence the
     global) minimum.
     """
-    d = s.dim
     sq = s.sq_coeffs
     inner, n, beta, gamma, inner_min = _active_sets(sq)
     kappa = (p_fix - beta) / n
@@ -195,7 +264,7 @@ def enumerate_fixed_configurations(s: SchmidtSpectrum, p_fix: float) -> OracleRe
     best = int(np.argmin(purity))
     x = np.where(inner[best], float(max(kappa[best], 0.0)), sq)
     return OracleReport(
-        best_y=np.divide(x, sq, out=np.ones(d), where=sq > 0.0),
+        best_y=_y_of(x, sq),
         best_purity=float(purity[best]),
         inner=inner,
         values=purity,
@@ -234,13 +303,9 @@ def numeric_qp_ascent(
     scale = _scale(d)
     rng = np.random.default_rng(seed)
 
-    def q_of_x(x: np.ndarray) -> float:
-        total = x.sum()
-        return scale * (p_ref * total * total - x @ x)
-
     def ascend(x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
         x = np.clip(np.asarray(x0, dtype=float), 0.0, sq)
-        q = q_of_x(x)
+        q = scale * _payoff(p_ref, x)
         step = 1.0
         stall = 0
         for _ in range(max_iter):
@@ -253,7 +318,7 @@ def numeric_qp_ascent(
                 return x, q, True
             while True:
                 x_new = np.clip(x + step * g, 0.0, sq)
-                q_new = q_of_x(x_new)
+                q_new = scale * _payoff(p_ref, x_new)
                 gain = float(g @ (x_new - x))
                 if q_new >= q + 1e-4 * gain:
                     break
@@ -289,7 +354,7 @@ def numeric_qp_ascent(
         converged = converged or met
         if best_x is None or q_end > best_q + 1e-12 * max(abs(best_q), abs(q_end), 1e-300):
             best_x, best_q = x_end, q_end
-    best_y = np.divide(best_x, sq, out=np.ones(d), where=sq > 0.0)
+    best_y = _y_of(best_x, sq)
 
     delta_y = delta_q = None
     if alg is not None:
@@ -334,10 +399,13 @@ def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int
     """
     a, beta, ns = _sorted_tails(s)
     p_ref = ref.p_ref
-    curv_ok = ns * p_ref < 1.0
+    num = p_ref * beta
+    denom = 1.0 - ns * p_ref
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(curv_ok, p_ref * beta / (1.0 - ns * p_ref), np.inf)
-    return _largest_fit(a, alpha, curv_ok & (beta > 0.0))
+        # a subnormal beta can round the product to 0 (0.4 * 5e-324) while
+        # the level is representable: then divide first
+        alpha = np.where(num >= _MIN_NORMAL, num / denom, beta / denom * p_ref)
+    return _largest_fit(a, alpha, (denom > 0.0) & (beta > 0.0))
 
 
 def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
@@ -363,8 +431,7 @@ def appendix_a_check(s: SchmidtSpectrum, trials: int = 10_000, seed: int = 0) ->
     ys = rng.uniform(size=(trials, s.dim))
     p = ys @ sq
     vals = scale * (p * p - (ys * ys) @ (sq * sq))
-    total = float(np.sum(sq))
-    at_identity = scale * (total * total - float(np.dot(sq, sq)))
+    at_identity = scale * _payoff(1.0, sq)
     return bool(np.all(vals <= at_identity + 1e-12))
 
 

@@ -27,12 +27,25 @@ def dirichlet_spectrum(rng: np.random.Generator, dim: int):
     return make_spectrum(rng.dirichlet(np.ones(dim)), normalize=True)
 
 
-def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0):
-    """Uniform reference purity in [1/D + margin * span, 1]."""
+#: spectra with a tie and with a zero, and Dirichlet draws of growing dimension
+BOUNDARY_CASES = [[0.4, 0.4, 0.2], [0.5, 0.3, 0.2, 0.0], 3, 10, 300, 2**14]
+
+
+def case_spectrum(case):
+    """``make_spectrum(case)``, or a seeded Dirichlet spectrum of dimension
+    ``case`` when it is an int."""
+    if isinstance(case, int):
+        return dirichlet_spectrum(np.random.default_rng(case), case)
+    return make_spectrum(case)
+
+
+def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0, top: float = 1.0):
+    """Uniform reference purity in [1/D + margin * span, 1/D + top * span],
+    where span = 1 - 1/D."""
     from schmidt_forge import ReferenceLevel
 
     lo = 1.0 / dim
-    u = rng.uniform(margin, 1.0)
+    u = rng.uniform(margin, top)
     return ReferenceLevel(dim, lo + u * (1.0 - lo))
 
 

@@ -26,7 +26,7 @@ from schmidt_forge.errors import (
 )
 from schmidt_forge.oracle import prefix_scan_efficiency
 
-from helpers import dirichlet_spectrum, haar, random_reference, spectra
+from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, haar, random_reference, spectra
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -46,13 +46,14 @@ class TestReferenceFrom:
 
     def test_views_mutually_consistent(self):
         ref = reference_from("c_ref", 0.8, 5)
-        again = reference_from("c_ref_sq", ref.c_ref_sq, 5)
+        c_ref_sq = 5 / 4 * (1.0 - ref.p_ref)
+        k_ref = 1.0 / ref.p_ref
+        again = reference_from("c_ref_sq", c_ref_sq, 5)
         assert again.p_ref == pytest.approx(ref.p_ref, abs=1e-15)
-        assert reference_from("k_ref", ref.k_ref, 5).p_ref == pytest.approx(
+        assert reference_from("k_ref", k_ref, 5).p_ref == pytest.approx(
             ref.p_ref, abs=1e-15
         )
-        assert ref.c_ref_sq == pytest.approx(0.64, abs=1e-15)
-        assert ref.k_ref == 1.0 / ref.p_ref
+        assert c_ref_sq == pytest.approx(0.64, abs=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
@@ -174,6 +175,17 @@ class TestOptimalPlan:
         y_scan = np.minimum(1.0, level_scan / s.sq_coeffs)
         assert q_plan >= efficiency_q(s, y_scan, ref) * (1.0 - 1e-12)
 
+    @pytest.mark.parametrize("values", BOUNDARY_CASES, ids=str)
+    def test_identity_starts_exactly_at_the_largest_coefficient(self, values):
+        s = case_spectrum(values)
+        top = s.max_sq
+        assert optimal_plan_efficiency(s, ReferenceLevel(s.dim, top)).plan.n_opt == 0
+        # one ulp below, the largest coefficient is cut, though the level may
+        # round to max a^2 itself
+        plan = optimal_plan_efficiency(s, ReferenceLevel(s.dim, np.nextafter(top, 0.0))).plan
+        assert plan.n_opt >= 1
+        assert plan.crop_level <= top
+
     def test_uniform_state_identity_for_any_reference(self):
         s = make_spectrum([0.25] * 4)
         for p_ref in (0.25, 0.5, 0.9, 1.0):
@@ -218,10 +230,13 @@ class TestOptimalPlan:
         # numerator (0.49 * 5e-324, 0.4 * 5e-324) to 0, though the root is
         # representable
         s = make_spectrum(values)
-        out = optimal_plan_efficiency(s, ReferenceLevel(s.dim, p_ref))
+        ref = ReferenceLevel(s.dim, p_ref)
+        out = optimal_plan_efficiency(s, ref)
         level = out.plan.crop_level
         assert level > 0.0
         assert out.plan.n_opt == 2 == np.count_nonzero(s.sq_coeffs >= level)
+        # the sorted-prefix scan divides first too, and finds the same crop
+        assert prefix_scan_efficiency(s, ref) == (2, level)
         # the exact residual of L = P_ref * sum min(a^2, L) is within one
         # subnormal ulp
         cut = sum(min(Fraction(a), Fraction(level)) for a in s.sq_coeffs.tolist())
@@ -312,9 +327,8 @@ class TestPlanInvariants:
         assert out.q_value == pytest.approx(
             efficiency_q(s, plan.y, ref), abs=1e-10
         )
-        definition = out.p_success**2 * (
-            out.post_measures.concurrence_sq - ref.c_ref_sq
-        )
+        c_ref_sq = d / (d - 1.0) * (1.0 - ref.p_ref)
+        definition = out.p_success**2 * (out.post_measures.concurrence_sq - c_ref_sq)
         assert out.q_value == pytest.approx(definition, abs=1e-10)
         assert out.q_value >= -1e-15
 

@@ -15,7 +15,7 @@ from schmidt_forge import (
 )
 from schmidt_forge.errors import PFixOutOfRangeError
 
-from helpers import dirichlet_spectrum, random_reference, spectra
+from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, random_reference, spectra
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -97,6 +97,17 @@ class TestOptimalPlanFixed:
         out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
         report = enumerate_fixed_configurations(s, p_fix)
         assert out.post_measures.purity <= report.best_purity + 1e-10
+
+    @pytest.mark.parametrize("values", BOUNDARY_CASES, ids=str)
+    def test_identity_starts_exactly_at_the_total_weight(self, values):
+        s = case_spectrum(values)
+        total = s.total
+        assert optimal_plan_fixed(s, FixedProbRequest(total)).plan.n_opt == 0
+        # one ulp below, a coefficient is cut and p_success stays on p_fix
+        p_fix = np.nextafter(total, 0.0)
+        out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+        assert out.plan.n_opt >= 1
+        assert abs(out.p_success - p_fix) <= 4 * np.spacing(p_fix)
 
     def test_monotone_tradeoff(self):
         rng = np.random.default_rng(5)

@@ -91,35 +91,42 @@ class TestEnumerate:
     def test_zero_elimination(self):
         # the argmax never needs a zeroed coordinate, even when those compete
         rng = np.random.default_rng(55)
+        crops = 0
         for _ in range(25):
             d = int(rng.integers(3, 8))
             s = dirichlet_spectrum(rng, d)
-            ref = random_reference(rng, d, margin=0.02)
+            ref = random_reference(rng, d, margin=0.02, top=0.3)
             assert best_zero_face_gain(s, ref) <= 0.0
+            crops += optimal_plan_efficiency(s, ref).plan.n_opt >= 1
+        assert crops >= 12  # references near 1/D, so most optima cut something
 
     def test_sorting_preference(self):
         # among feasible same-size crops, cropping the largest coefficients wins
         rng = np.random.default_rng(56)
+        crops = 0
         for _ in range(25):
             d = int(rng.integers(3, 8))
             s = dirichlet_spectrum(rng, d)
-            ref = random_reference(rng, d, margin=0.02)
+            ref = random_reference(rng, d, margin=0.02, top=0.3)
             report = enumerate_configurations(s, ref)
             n, top_prefix = _top_prefix_rows(report, s)
             feasible = np.isfinite(report.values)
+            crops += np.any(feasible & (n >= 1))
             for k in np.unique(n[feasible & (n >= 1)]):
                 same_size = feasible & (n == k)
                 is_prefix = same_size & top_prefix
                 assert np.any(is_prefix), "prefix crop missing from feasible set"
                 best_other = report.values[same_size].max()
                 assert report.values[is_prefix][0] >= best_other - 1e-12
+        assert crops >= 12  # references near 1/D, so most instances have a crop
 
     def test_payoff_nondecreasing_along_prefix_chain(self):
         rng = np.random.default_rng(57)
+        crops = 0
         for _ in range(25):
             d = int(rng.integers(3, 9))
             s = dirichlet_spectrum(rng, d)
-            ref = random_reference(rng, d, margin=0.02)
+            ref = random_reference(rng, d, margin=0.02, top=0.3)
             report = enumerate_configurations(s, ref)
             alg = optimal_plan_efficiency(s, ref)
             n, top_prefix = _top_prefix_rows(report, s)
@@ -129,6 +136,8 @@ class TestEnumerate:
             values = [v for _, v in chain]
             assert ns == list(range(alg.plan.n_opt + 1))
             assert np.all(np.diff(values) >= -1e-12)
+            crops += alg.plan.n_opt >= 1
+        assert crops >= 12  # references near 1/D, so most chains are longer than 1
 
 
 class TestEnumerateFixed:
