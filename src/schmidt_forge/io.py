@@ -30,15 +30,8 @@ FLOAT_CHUNK = 4096
 
 
 def _float_array(value) -> np.ndarray | None:
-    """``value`` as a 1-D float64 array if it is a float array, else None:
-    a 1-D ndarray of float dtype, or a non-empty list or tuple of floats."""
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.dtype.kind == "f":
-            return np.asarray(value, dtype=float)
-        return None
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(v, (float, np.floating)) for v in value
-    ):
+    """``value`` as a float64 array if it is a 1-D ndarray of float dtype, else None."""
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
         return np.asarray(value, dtype=float)
     return None
 
@@ -115,6 +108,8 @@ def _load_json(path) -> dict:
             lineno=exc.lineno,
             colno=exc.colno,
         ) from exc
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_spectrum(s: SchmidtSpectrum, path) -> None:
@@ -132,6 +127,8 @@ def read_spectrum(path) -> SchmidtSpectrum:
     coeffs = data["squared_coefficients"]
     if not isinstance(dim, int) or not isinstance(coeffs, list):
         raise SchemaError(f"{path}: wrong field types")
+    if not set(map(type, coeffs)) <= {int, float}:  # JSON booleans and strings too
+        raise SchemaError(f"{path}: coefficients must be numbers")
     if dim != len(coeffs):
         raise SchemaError(f"{path}: dim={dim} but {len(coeffs)} coefficients")
     try:
@@ -140,7 +137,7 @@ def read_spectrum(path) -> SchmidtSpectrum:
         raise SchemaError(f"{path}: NotNormalized: {exc}") from exc
     except SchmidtForgeError as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # an entry that is not a number
+    except OverflowError as exc:  # an integer too large for a float
         raise SchemaError(f"{path}: malformed coefficient: {exc}") from exc
 
 

@@ -20,9 +20,11 @@ coefficients outside Z, so ``best_zero_face_gain`` scores the same table on
 sq[~Z] for every nonempty Z: with sq itself, all 3^D zero / upper-bound /
 interior assignments.
 
-For dimensions beyond enumeration, the sorted-prefix scans give each
-planner's crop count and water level from a descending sort, with no
-shared code.
+For dimensions beyond enumeration, ``frontier`` sorts the coefficients: every
+optimal plan crops a top-n prefix, and the crop count changes at the
+breakpoints p_n = beta_n + n * a_n^2. ``prefix_scan_fixed`` and
+``prefix_scan_efficiency`` count breakpoints, then solve for that count's
+level alone; they share no code with the planners' unsorted Newton steps.
 
 The module also carries the relative-difference metrics used to compare the
 two routes, and direct checks of two structural facts: the unreferenced
@@ -372,49 +374,45 @@ def numeric_qp_ascent(
     )
 
 
-def _sorted_tails(s: SchmidtSpectrum):
-    """Descending coefficients a, beta[n-1] = sum(a[n:]) and n = 1..D."""
+def frontier(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending a_n^2, the weight beta_n below the top n, and the breakpoints
+    p_n = beta_n + n * a_n^2 (the success probability of the level a_n^2), for
+    n = 1..D: every optimal plan crops the top n at a level in [a_{n+1}^2, a_n^2]."""
     a = np.sort(s.sq_coeffs)[::-1]
     beta = np.append(np.cumsum(a[::-1])[::-1][1:], 0.0)
-    return a, beta, np.arange(1, a.size + 1, dtype=float)
-
-
-def _largest_fit(a: np.ndarray, levels: np.ndarray, fits: np.ndarray) -> tuple[int, float]:
-    """Largest n whose level fits under a_n (relative to a_n), with that level;
-    (0, max a^2) when none does."""
-    fits = fits & (levels <= a * (1.0 + FEAS_TOL))
-    if not np.any(fits):
-        return 0, float(a[0])
-    n = int(np.flatnonzero(fits)[-1]) + 1
-    return n, float(levels[n - 1])
+    return a, beta, beta + np.arange(1, a.size + 1) * a
 
 
 def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int, float]:
-    """Crop count and level of the efficiency optimum by the sorted-prefix scan.
+    """Crop count and level of the efficiency optimum, from the frontier.
 
-    The optimum crops the largest n coefficients whose level
-    alpha_n = P_ref * beta_n / (1 - n * P_ref) satisfies the box condition
-    alpha_n <= a_n^2 and the curvature bound n * P_ref < 1, with something
-    left uncropped (beta_n > 0). Valid for P_ref > 1/D.
+    Under the curvature bound n * P_ref < 1 and with something left
+    uncropped (beta_n > 0), the level alpha_n = P_ref * beta_n / (1 - n * P_ref)
+    fits the box, alpha_n <= a_n^2, exactly where a_n^2 >= P_ref * p_n. These n
+    form a prefix, all of it cropped. Valid for P_ref > 1/D; (0, max a^2) is
+    the identity.
     """
-    a, beta, ns = _sorted_tails(s)
+    a, beta, p = frontier(s)
     p_ref = ref.p_ref
-    num = p_ref * beta
-    denom = 1.0 - ns * p_ref
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a subnormal beta can round the product to 0 (0.4 * 5e-324) while
-        # the level is representable: then divide first
-        alpha = np.where(num >= _MIN_NORMAL, num / denom, beta / denom * p_ref)
-    return _largest_fit(a, alpha, (denom > 0.0) & (beta > 0.0))
+    # the bound follows from the other two, but not in floats: p_n can absorb
+    # a subnormal beta_n, as in [0.5, 0.5, 5e-324] at P_ref = 0.5
+    curved = np.arange(1, a.size + 1) * p_ref < 1.0
+    n = int(np.count_nonzero((a >= p_ref * p) & (beta > 0.0) & curved))
+    if n == 0:
+        return 0, float(a[0])
+    rest, denom = float(beta[n - 1]), 1.0 - n * p_ref
+    # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
+    # level is representable: then divide first
+    return n, p_ref * rest / denom if p_ref * rest >= _MIN_NORMAL else rest / denom * p_ref
 
 
 def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
-    """Crop count and level of the fixed-probability optimum by the
-    sorted-prefix scan: the largest n whose level
-    kappa_n = (p_fix - beta_n) / n lies in (0, a_n^2]."""
-    a, beta, ns = _sorted_tails(s)
-    kappa = (p_fix - beta) / ns
-    return _largest_fit(a, kappa, kappa > 0.0)
+    """Crop count and level of the fixed-probability optimum, from the
+    frontier: the n breakpoints p_n >= p_fix are cropped at
+    kappa = (p_fix - beta_n) / n; (0, max a^2) when p_fix is above them all."""
+    a, beta, p = frontier(s)
+    n = int(np.count_nonzero(p >= p_fix))
+    return (n, (p_fix - float(beta[n - 1])) / n) if n else (0, float(a[0]))
 
 
 def appendix_a_check(s: SchmidtSpectrum, trials: int = 10_000, seed: int = 0) -> bool:

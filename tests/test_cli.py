@@ -154,6 +154,29 @@ class TestConcentrateCommand:
         assert code == 1
         assert "SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coeffs", ['["0.5", "0.5"]', "[true, false]", "[[0.5], 0.5]", "[null, 1]"])
+    def test_coefficients_that_are_not_numbers_exit_one(self, tmp_path, capsys, coeffs):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 2, "squared_coefficients": {coeffs}}}')
+        assert main(["measures", str(path)]) == 1
+        assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("digits", [401, 5001])
+    def test_huge_integer_coefficient_exits_one(self, tmp_path, capsys, digits):
+        # 401 digits overflow a float; 5001 pass the interpreter's digit limit
+        # on int conversion, where it has one, so json.loads refuses them
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dim": 2, "squared_coefficients": [{"1" * digits}, 0]}}')
+        assert main(["measures", str(path)]) == 1
+        limited = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < digits
+        assert ("ParseError" if limited else "SchemaError") in capsys.readouterr().err
+
+    def test_deeply_nested_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "squared_coefficients": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["measures", str(path)]) == 1
+        assert "ParseError" in capsys.readouterr().err
+
     def test_usage_error_exits_two(self, worked_spectrum, tmp_path):
         sweep = ["sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
                  "--out", str(tmp_path / "x.csv"), "--pref-grid"]

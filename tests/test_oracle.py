@@ -26,14 +26,16 @@ from schmidt_forge.errors import (
     OutOfRangeError,
     SpectralBoundViolatedError,
 )
+from schmidt_forge.efficiency import P_REF_TOL
 from schmidt_forge.oracle import (
     MIN_VALIDATION_DIM,
+    frontier,
     prefix_scan_efficiency,
     prefix_scan_fixed,
     sample_psd_contraction,
 )
 
-from helpers import dirichlet_spectrum, random_reference
+from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, random_reference
 
 
 def _top_prefix_rows(report, s):
@@ -356,3 +358,68 @@ class TestPrefixScanAtScale:
         out = optimal_plan_fixed(spectrum, FixedProbRequest(p_fix))
         self._check(spectrum, out, n_scan, level_scan)
         assert out.p_success == pytest.approx(p_fix, rel=1e-12)
+
+
+def _breakpoint_probes(s):
+    """The frontier's breakpoints p_n, the efficiency breakpoints
+    r_n = a_n^2 / p_n (0 where p_n = 0), the relative window w = D * 2^-52
+    that the rounding of the frontier's cumsum needs, and a subsample of at
+    most 128 of the n = 1..D."""
+    a, _, p = frontier(s)
+    r = np.divide(a, p, out=np.zeros_like(p), where=p > 0.0)
+    return p, r, s.dim * 2.0**-52, np.arange(1, s.dim + 1)[:: max(1, s.dim // 128)]
+
+
+def _isolated(v, w, ns):
+    """The n in [2, D - 1] among ``ns`` whose neighbours in the descending
+    breakpoints ``v`` lie outside the relative window w around v_n."""
+    ns = ns[(ns >= 2) & (ns <= v.size - 1)]
+    return ns[(v[ns] < v[ns - 1] * (1 - w)) & (v[ns - 2] > v[ns - 1] * (1 + w))]
+
+
+class TestFrontierBreakpoints:
+    """The planners' crop count changes exactly at the frontier's breakpoints."""
+
+    def test_worked_frontier(self):
+        a, beta, p = frontier(make_spectrum([0.2, 0.5, 0.0, 0.3]))
+        assert a.tolist() == [0.5, 0.3, 0.2, 0.0]
+        assert beta.tolist() == [0.5, 0.2, 0.0, 0.0]
+        assert p == pytest.approx([1.0, 0.8, 0.6, 0.0], abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [3, 10, 300, 2**14])
+    def test_fixed_crop_changes_at_each_breakpoint(self, dim):
+        s = case_spectrum(dim)
+        p, _, w, ns = _breakpoint_probes(s)
+        isolated = _isolated(p, w, ns)
+        assert isolated.size >= min(dim - 2, 100)
+        for n in isolated.tolist():
+            for p_fix, expected in ((p[n - 1] * (1 - w), n), (p[n - 1] * (1 + w), n - 1)):
+                assert optimal_plan_fixed(s, FixedProbRequest(p_fix)).plan.n_opt == expected
+
+    @pytest.mark.parametrize("dim", [3, 10, 300, 2**14])
+    def test_efficiency_crop_changes_at_each_breakpoint(self, dim):
+        s = case_spectrum(dim)
+        _, r, w, ns = _breakpoint_probes(s)
+        isolated = _isolated(r, w, ns)
+        isolated = isolated[r[isolated - 1] * (1 - w) > 1.0 / dim + P_REF_TOL]
+        assert isolated.size >= min(dim - 2, 100)
+        for n in isolated.tolist():
+            for p_ref, expected in ((r[n - 1] * (1 - w), n), (r[n - 1] * (1 + w), n - 1)):
+                plan = optimal_plan_efficiency(s, ReferenceLevel(dim, p_ref)).plan
+                assert plan.n_opt == expected
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES, ids=str)
+    def test_lookups_give_the_planners_crop(self, case):
+        # on either side of every sampled breakpoint, ties and zeros included;
+        # references below 1/rank have no plan, and those at 1/D the closed form
+        s = case_spectrum(case)
+        p, r, w, ns = _breakpoint_probes(s)
+        for p_fix in np.concatenate((p[ns - 1] * (1 - w), p[ns - 1] * (1 + w))).tolist():
+            if 0.0 < p_fix <= 1.0:
+                plan = optimal_plan_fixed(s, FixedProbRequest(p_fix)).plan
+                assert prefix_scan_fixed(s, p_fix)[0] == plan.n_opt
+        for p_ref in np.concatenate((r[ns - 1] * (1 - w), r[ns - 1] * (1 + w))).tolist():
+            if 1.0 / s.rank + P_REF_TOL < p_ref <= 1.0:
+                ref = ReferenceLevel(s.dim, p_ref)
+                plan = optimal_plan_efficiency(s, ref).plan
+                assert prefix_scan_efficiency(s, ref)[0] == plan.n_opt
