@@ -26,43 +26,6 @@ from .spectrum import (
 )
 from .sweep import sweep_table
 
-__all__ = [
-    "ConcentrationOutcome",
-    "ConcentrationPlan",
-    "FixedProbRequest",
-    "InterpPoint",
-    "Measures",
-    "OracleReport",
-    "ReferenceLevel",
-    "SampleSpec",
-    "SchmidtForgeError",
-    "SchmidtSpectrum",
-    "appendix_a_check",
-    "appendix_b_check",
-    "apply_plan",
-    "best_zero_face_gain",
-    "default_xi_grid",
-    "duality_check",
-    "efficiency_q",
-    "enumerate_configurations",
-    "enumerate_fixed_configurations",
-    "interp_sweep",
-    "interpolate",
-    "make_spectrum",
-    "measures",
-    "numeric_qp_ascent",
-    "optimal_plan_efficiency",
-    "optimal_plan_fixed",
-    "reference_from",
-    "relative_diffs",
-    "run_validation",
-    "sample_haar_spectrum",
-    "sort_descending",
-    "sweep_table",
-]
-
-__version__ = "0.1.0"
-
 #: names of the oracle module, imported on first use: only ``validate`` and
 #: the tests need them, and every CLI start would pay for the import
 _ORACLE_NAMES = frozenset({
@@ -71,6 +34,31 @@ _ORACLE_NAMES = frozenset({
     "enumerate_fixed_configurations", "numeric_qp_ascent", "relative_diffs",
     "run_validation",
 })
+
+__all__ = sorted(_ORACLE_NAMES | {
+    "ConcentrationOutcome",
+    "ConcentrationPlan",
+    "FixedProbRequest",
+    "InterpPoint",
+    "Measures",
+    "ReferenceLevel",
+    "SampleSpec",
+    "SchmidtForgeError",
+    "SchmidtSpectrum",
+    "default_xi_grid",
+    "interp_sweep",
+    "interpolate",
+    "make_spectrum",
+    "measures",
+    "optimal_plan_efficiency",
+    "optimal_plan_fixed",
+    "reference_from",
+    "sample_haar_spectrum",
+    "sort_descending",
+    "sweep_table",
+})
+
+__version__ = "0.1.0"
 
 
 def __getattr__(name: str):

@@ -177,6 +177,8 @@ def _efficiency_level(
     cuts more coefficients each time, until a step cuts no new ones. A crop
     of the whole support (beta = 0), or one at the curvature bound
     n * P_ref >= 1, has no positive root on its piece and keeps its level.
+    A step that cuts fewer has been rounded above the root, past a
+    coefficient (a subnormal near-tie); the level before it is kept.
     """
     level = top
     n_prev = 0
@@ -185,9 +187,12 @@ def _efficiency_level(
         # exactly the complement of the crop a^2 >= L
         rest = sq.compress(sq < level)
         n = sq.size - rest.size
+        if n < n_prev:
+            return prev
         beta = float(np.add.reduce(rest))
-        if n <= n_prev or beta == 0.0 or n * p_ref >= 1.0:
+        if n == n_prev or beta == 0.0 or n * p_ref >= 1.0:
             return level, n, rest, beta
+        prev = level, n, rest, beta
         num = p_ref * beta
         denom = 1.0 - n * p_ref
         # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the

@@ -1,5 +1,6 @@
 """Shared strategies and generators for the test suite."""
 
+import itertools
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -76,3 +77,23 @@ def reference_render(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def inject_fault(monkeypatch, suite: int, value: float, every: int = 1) -> str:
+    """Make the ``suite``-th validation suite's check report ``value`` as its
+    first metric on every ``every``-th instance, starting with the first; the
+    original check still runs, so the random stream is unchanged. Returns the
+    suite's name."""
+    from schmidt_forge import oracle
+
+    suites = list(oracle._SUITES)
+    name, cap, dim_min, check, *rest = suites[suite]
+    calls = itertools.count()
+
+    def faulty(s, rng):
+        first, *others = check(s, rng)
+        return (value if next(calls) % every == 0 else first, *others)
+
+    suites[suite] = (name, cap, dim_min, faulty, *rest)
+    monkeypatch.setattr(oracle, "_SUITES", tuple(suites))
+    return name

@@ -18,7 +18,7 @@ from schmidt_forge import (
 from schmidt_forge.cli import main, parse_grid
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
-from helpers import haar, read_csv
+from helpers import haar, inject_fault, read_csv
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -304,6 +304,16 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS efficiency-vs-enumeration" in out
         assert "FAIL" not in out
+
+    def test_failing_suite_exits_one(self, monkeypatch, capsys):
+        name = inject_fault(monkeypatch, 4, 1.0)
+        code = main(["validate", "--dim-max", "5", "--instances", "8", "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line.split()[:2] for line in out.splitlines() if line.startswith("FAIL")] == [
+            ["FAIL", name]
+        ]
+        assert out.endswith("5/6 suites passed\n")
 
     def test_dim_max_below_three_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

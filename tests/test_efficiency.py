@@ -223,12 +223,15 @@ class TestOptimalPlan:
             ([0.5, 0.5, 5e-324], 0.49),
             ([0.5, 0.5, 5e-324, 0.0], 0.49),
             ([1.0, 5e-324, 1e-310], 0.4),
+            ([1.0, 5e-324, 1e-310], 0.49999999999998795),
         ],
     )
     def test_subnormal_level_is_solved(self, values, p_ref):
         # the Newton step P_ref * beta / (1 - n * P_ref) would round its
         # numerator (0.49 * 5e-324, 0.4 * 5e-324) to 0, though the root is
-        # representable
+        # representable; in the last case 1 - 2 * P_ref ~ 2.4e-14 magnifies
+        # the rounding of the n = 2 step 2.5% above the root 1e-310, past
+        # a_2^2, and the scan's count rounds P_ref * p_2 down to a_2^2
         s = make_spectrum(values)
         ref = ReferenceLevel(s.dim, p_ref)
         out = optimal_plan_efficiency(s, ref)

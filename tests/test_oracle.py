@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,16 +28,24 @@ from schmidt_forge.errors import (
     OutOfRangeError,
     SpectralBoundViolatedError,
 )
+from schmidt_forge import oracle
 from schmidt_forge.efficiency import P_REF_TOL
 from schmidt_forge.oracle import (
     MIN_VALIDATION_DIM,
+    ValidationResult,
     frontier,
     prefix_scan_efficiency,
     prefix_scan_fixed,
     sample_psd_contraction,
 )
 
-from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, random_reference
+from helpers import (
+    BOUNDARY_CASES,
+    case_spectrum,
+    dirichlet_spectrum,
+    inject_fault,
+    random_reference,
+)
 
 
 def _top_prefix_rows(report, s):
@@ -314,6 +324,38 @@ class TestValidationDriver:
         names = {r.name for r in results}
         assert "efficiency-vs-enumeration" in names
         assert "duality" in names
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return run_validation(dim_max=5, instances=8, seed=1)
+
+    @pytest.mark.parametrize("value", [1.0, np.nan])
+    @pytest.mark.parametrize("suite", range(len(oracle._SUITES)))
+    def test_each_suite_can_fail(self, monkeypatch, clean, suite, value):
+        # 1.0 is above every bound; a NaN, which max drops from the worst
+        # value, must fail its suite all the same
+        name = inject_fault(monkeypatch, suite, value)
+        results = run_validation(dim_max=5, instances=8, seed=1)
+        assert [r.name for r in results] == [r.name for r in clean]
+        for r, c in zip(results, clean):
+            assert r == (ValidationResult(name, False, r.detail) if r.name == name else c)
+
+    def test_duality_counts_every_failing_instance(self, monkeypatch):
+        inject_fault(monkeypatch, 2, 1.0, every=3)  # instances 0, 3, 6 and 9
+        duality = run_validation(dim_max=5, instances=12, seed=1)[2]
+        assert (duality.name, duality.passed, duality.detail) == ("duality", False, "failures=4")
+
+    def test_one_nan_pair_fails_offdiagonal(self, monkeypatch):
+        calls = itertools.count()
+        check = oracle.appendix_b_check
+
+        def nan_once(s, pi, ref):
+            q_full, q_diag = check(s, pi, ref)
+            return (np.nan if next(calls) == 100 else q_full), q_diag
+
+        monkeypatch.setattr(oracle, "appendix_b_check", nan_once)
+        offdiag = run_validation(dim_max=5, instances=2, seed=1)[4]
+        assert (offdiag.name, offdiag.passed) == ("offdiagonal-never-helps", False)
 
     @pytest.mark.parametrize("dim_max", [MIN_VALIDATION_DIM - 1, 0, -5])
     def test_dim_max_below_minimum_is_typed_error(self, dim_max):
