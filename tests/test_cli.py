@@ -1,10 +1,16 @@
+import contextlib
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from schmidt_forge import (
     FixedProbRequest,
@@ -193,6 +199,107 @@ class TestConcentrateCommand:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2, argv
+
+
+#: argv of each command that reads a spectrum file, then writes a file or stdout
+SPECTRUM_COMMANDS = {
+    "measures": lambda spectrum, out: ["measures", spectrum],
+    "concentrate": lambda spectrum, out: ["concentrate", "--spectrum", spectrum,
+                                          "--pref", "0.6", "--out", out],
+    "sweep": lambda spectrum, out: ["sweep", "--spectrum", spectrum, "--mode", "efficiency",
+                                    "--pref-grid", "0.6", "--out", out],
+}
+VALID_FILE = b'{"dim": 2, "squared_coefficients": [0.5, 0.5]}'
+
+
+def _run_on_file(command: str, content: bytes, tmp: Path) -> tuple[int, str, Path]:
+    """Exit code and stderr of ``command`` on a spectrum file holding
+    ``content``, and the path its output file would have."""
+    spectrum, out = tmp / "spectrum.json", tmp / "out"
+    spectrum.write_bytes(content)
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        code = main(SPECTRUM_COMMANDS[command](str(spectrum), str(out)))
+    return code, err.getvalue(), out
+
+
+@pytest.mark.parametrize("command", sorted(SPECTRUM_COMMANDS))
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, command):
+    code, err, out = _run_on_file(command, VALID_FILE + b"\xff", tmp_path)
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"ParseError: {tmp_path / 'spectrum.json'}: not UTF-8")
+
+
+def _document(pairs) -> bytes:
+    """A JSON object from (name, text of value) pairs, names kept even when repeated."""
+    return ("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}").encode()
+
+
+_NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=1),
+)
+_NON_FINITE = st.sampled_from(["NaN", "Infinity", "-Infinity"])
+
+
+@st.composite
+def malformed_spectrum_files(draw):
+    """Bytes of a spectrum file that no command may accept: not UTF-8, a byte
+    order mark or a NUL byte in a valid file, a field of the wrong type, a
+    nested document, a repeated name, or a non-finite number."""
+    kind = draw(st.sampled_from(["encoding", "bom", "nul", "dim", "coefficient", "coefficients",
+                                 "nested", "duplicate", "non-finite"]))
+    coeffs = "[0.5, 0.5]"
+    if kind in ("encoding", "nul"):
+        insert = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80",
+                                       b"\xf4\x90\x80\x80"])) if kind == "encoding" else b"\0"
+        i = draw(st.integers(0, len(VALID_FILE)))
+        return VALID_FILE[:i] + insert + VALID_FILE[i:]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + VALID_FILE
+    if kind == "dim":
+        value = json.dumps(draw(_NOT_A_NUMBER | st.floats()))
+        return _document([("dim", value), ("squared_coefficients", coeffs)])
+    if kind == "coefficient":
+        return _document([("dim", "2"), ("squared_coefficients",
+                                         f"[0.5, {json.dumps(draw(_NOT_A_NUMBER))}]")])
+    if kind == "coefficients":
+        value = draw(_NOT_A_NUMBER.filter(lambda v: not isinstance(v, list))
+                     | st.floats() | st.integers())
+        return _document([("dim", "2"), ("squared_coefficients", json.dumps(value))])
+    if kind == "nested":
+        depth = draw(st.integers(1, 3))
+        return (b"[" * depth + VALID_FILE + b"]" * depth if draw(st.booleans())
+                else _document([("dim", "2"), ("squared_coefficients", "[" + coeffs + "]")]))
+    pairs = [("dim", "2"), ("squared_coefficients", coeffs)]
+    if kind == "duplicate":
+        pairs.insert(draw(st.integers(0, 2)), pairs[draw(st.integers(0, 1))])
+    else:
+        pairs[draw(st.integers(0, 1))] = (
+            ("dim", draw(_NON_FINITE)) if draw(st.booleans())
+            else ("squared_coefficients", f"[0.5, {draw(_NON_FINITE)}]"))
+    return _document(pairs)
+
+
+@settings(max_examples=50)
+@given(content=malformed_spectrum_files(), command=st.sampled_from(sorted(SPECTRUM_COMMANDS)))
+@example(content=VALID_FILE + b"\xff", command="sweep")
+@example(content=b"\xef\xbb\xbf" + VALID_FILE, command="measures")
+@example(content=VALID_FILE[:10] + b"\0" + VALID_FILE[10:], command="concentrate")
+@example(content=b'{"dim": "2", "squared_coefficients": [0.5, 0.5]}', command="concentrate")
+@example(content=b'{"dim": 2, "squared_coefficients": [true, false]}', command="measures")
+@example(content=b'{"dim": 2, "squared_coefficients": ["0.5", "0.5"]}', command="sweep")
+@example(content=b"[" + VALID_FILE + b"]", command="sweep")
+@example(content=b'{"dim": 2, "squared_coefficients": [[0.5, 0.5]]}', command="measures")
+@example(content=b'{"dim": 2, "squared_coefficients": [0.5, 0.5], "dim": 2}', command="concentrate")
+@example(content=b'{"dim": 2, "squared_coefficients": [0.5, NaN]}', command="sweep")
+@example(content=b'{"dim": Infinity, "squared_coefficients": [0.5, 0.5]}', command="measures")
+def test_malformed_spectrum_file_is_a_typed_error(content, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, out = _run_on_file(command, content, Path(tmp))
+        assert code == 1 and not out.exists(), err
+    assert re.match(r"[A-Za-z]+Error: ", err) and "Traceback" not in err, err
 
 
 class TestFixedpCommand:

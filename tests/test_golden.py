@@ -11,8 +11,11 @@ out the same when summed sequentially, in reverse, pairwise and by
 import hashlib
 import json
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from schmidt_forge import (
     FixedProbRequest,
@@ -201,6 +204,7 @@ def test_pieces_match_reference_writer():
         "chunks": floats,
         "exact_chunk": floats[: io.FLOAT_CHUNK],
         "list": floats[:50].tolist(),
+        "long_list": floats.tolist(),
         "tuple": tuple(floats[50:60].tolist()),
         "float32": rng.standard_normal(20).astype(np.float32),
         "float32_list": [np.float32(0.1), 0.2],
@@ -240,3 +244,50 @@ def _repeat_cases():
 def test_repeated_values_match_reference_writer(name):
     value = _repeat_cases()[name]
     assert_same_text("".join(io.json_pieces(value)), reference_render(value))
+
+
+def _around(x: float, steps: int) -> list[float]:
+    """``x`` and the ``steps`` doubles on each side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def _kernel_cases():
+    """Float arrays the printing kernel must write exactly as ``"%.17g"``."""
+    rng = np.random.default_rng(19)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 2**16,
+                        dtype=np.int64, endpoint=True)
+    powers = [y for k in range(-323, 309) for y in _around(float(f"1e{k}"), 1)]
+    # m / 2^18 for odd m has 18 significant digits in [0.1, 1), the last a 5
+    ties = np.arange(26215, 26215 + 2 * 4096, 2) / 2**18
+    return {
+        "random-bits": bits.view(np.float64),
+        "powers-of-ten": np.array(powers + [-p for p in powers]),
+        "format-switch": np.array([y for x in (1e-5, 1e-4, 1e16, 1e17) for y in _around(x, 40)]),
+        "ties": np.concatenate([ties, -ties]),
+        "extremes": np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                              2.0**53, 2.0**53 + 2, 9007199254740993.0, 123456789012345680.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kernel_cases()))
+def test_kernel_matches_reference_writer(name):
+    value = _kernel_cases()[name]
+    assert_same_text("".join(io.json_pieces(value)), reference_render(value))
+
+
+def test_exact_tie_rounds_as_percent_g():
+    # 0.100002288818359375 lies halfway between two 17-digit decimals; "%.17g"
+    # rounds it up to the even digit, which only the tie guard reproduces
+    x = 26215 / 2**18
+    assert "%.17g" % x == "0.10000228881835938"
+    text = "".join(io.json_pieces(np.array([x, -x])))
+    assert text == "[0.10000228881835938, -0.10000228881835938]"
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)))
+def test_kernel_matches_reference_on_any_floats(value):
+    assert "".join(io.json_pieces(value)) == reference_render(value)
