@@ -3,7 +3,8 @@
 Subcommands: measures, sample, interp, concentrate, fixedp, sweep, validate,
 kthreshold. Domain errors exit with status 1 and the error class name on
 stderr; usage errors, malformed grids and sample sizes included, exit 2. A
-reader that closes stdout early ends the command quietly with status 1.
+reader that closes stdout early ends the command quietly with status 1; any
+other failed write to stdout, such as on a full device, is an IoError.
 Identical argv and seed produce byte-identical output files.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
-from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, OutOfRangeError, SchmidtForgeError
+from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, OutOfRangeError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import default_xi_grid
 from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
@@ -95,7 +96,10 @@ def _cmd_measures(args) -> int:
 def _cmd_sample(args) -> int:
     spec = SampleSpec(dim=args.dim, seed=args.seed, count=args.count)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise IoError(f"cannot create directory {out}: {exc}") from exc
     for i, s in enumerate(sample_haar_spectrum(spec)):
         io.write_spectrum(s, out / f"spectrum_{i:04d}.json")
     print(f"wrote {spec.count} spectra to {out}")
@@ -272,10 +276,12 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout early, as `| head` does: exit quietly, with
-        # stdout on devnull so the interpreter's final flush cannot fail again
+    except OSError as exc:  # from stdout: the package's own file I/O raises IoError
+        # stdout goes to devnull so the interpreter's final flush cannot fail
+        # again; a reader that closed it early, as `| head` does, is no error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"IoError: cannot write stdout: {exc}", file=sys.stderr)
         return 1
     except SchmidtForgeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,14 +9,16 @@ held in memory at once. Each distinct bit pattern in a chunk is printed once:
 an optimal plan's y is 1 on every uncropped coefficient, and its
 post-selected spectrum takes only a few values on the cropped ones.
 
-One numpy kernel prints the floats, scalars included, with no Python call per
-value (the idea of Loitsch, PLDI 2010, and of Adams's Ryu, PLDI 2018). The
-decade k of |x| comes from a table of the least double >= 10^k; the 17 digits
-are N = round(|x| * 10^(16 - k)), from a double-double product whose error
-is below 2^-46 of a unit of N; the digits are then laid out in the fixed or
-exponent form of ``%g``. Only when N's fraction lies within 2^-20 of one
-half, where that error could decide the rounding, is the value printed by
-``"%.17g"`` itself, so exact ties round as ``"%.17g"`` rounds them.
+One numpy kernel prints the float arrays, with no Python call per value (the
+idea of Loitsch, PLDI 2010, and of Adams's Ryu, PLDI 2018); a float outside
+an array, such as an outcome's p_success, is printed by ``"%.17g"`` itself.
+The decade k of |x| comes from a table of the least double >= 10^k; the 17
+digits are N = round(|x| * 10^(16 - k)), from a double-double product whose
+error is below 2^-46 of a unit of N; the digits are then laid out in the
+fixed or exponent form of ``%g``. Only when N's fraction lies within 2^-20
+of one half, where that error could decide the rounding, is the value
+printed by ``"%.17g"`` itself, so exact ties round as ``"%.17g"`` rounds
+them.
 
 CSV uses '.' decimals, ',' separators, LF line endings and a mandatory
 header, so outputs diff cleanly across runs.
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .efficiency import ConcentrationOutcome
-from .errors import IoError, NotNormalizedError, ParseError, SchemaError, SchmidtForgeError
+from .errors import IoError, ParseError, SchemaError, SchmidtForgeError
 from .spectrum import SchmidtSpectrum, make_spectrum
 
 OUTCOME_MODES = {"efficiency": "p_ref", "fixedprob": "p_fix"}
@@ -187,66 +189,38 @@ def _float_text(floats: np.ndarray) -> str:
     return rows.ravel()[inverse].tobytes().translate(None, b"\0").decode("ascii")[2:]
 
 
-def _float_array(value) -> np.ndarray | None:
-    """``value`` as a float64 array if it is a 1-D ndarray of float dtype, else None."""
+def json_pieces(value):
+    """Yield the JSON text of ``value`` in pieces, with fixed float
+    formatting and dict key order kept. Joined, the pieces are the whole
+    text; a 1-D float array comes as one piece per ``FLOAT_CHUNK`` values,
+    printed by the kernel, and a float outside an array by ``"%.17g"``."""
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
-        return np.asarray(value, dtype=float)
-    return None
-
-
-def _scalar(value) -> str | float:
-    """The JSON text of a scalar, or the float itself for the kernel to print."""
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _tokens(value):
-    """The JSON of ``value`` in pieces of text, except that a float comes as
-    itself and a 1-D float array as a float64 array."""
-    floats = _float_array(value)
-    if floats is not None:
-        yield floats
+        floats = np.asarray(value, dtype=float)
+        yield "["
+        for start in range(0, floats.size, FLOAT_CHUNK):
+            yield (", " if start else "") + _float_text(floats[start:start + FLOAT_CHUNK])
+        yield "]"
     elif isinstance(value, dict):
         yield "{"
         for i, (k, v) in enumerate(value.items()):
             yield f"{', ' if i else ''}{json.dumps(k)}: "
-            yield from _tokens(v)
+            yield from json_pieces(v)
         yield "}"
     elif isinstance(value, (list, tuple, np.ndarray)):
         yield "["
         for i, v in enumerate(value):
             if i:
                 yield ", "
-            yield from _tokens(v)
+            yield from json_pieces(v)
         yield "]"
+    elif isinstance(value, (bool, str)) or value is None:
+        yield json.dumps(value)
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        yield "%.17g" % value if math.isfinite(value) else "null"
     else:
-        yield _scalar(value)
-
-
-def json_pieces(value):
-    """Yield the JSON text of ``value`` in pieces, with fixed float
-    formatting and dict key order kept. Joined, the pieces are the whole
-    text; a float array comes as one piece per ``FLOAT_CHUNK`` values. The
-    floats outside arrays are printed together, ``FLOAT_CHUNK`` at a time."""
-    tokens = list(_tokens(value))
-    scalars = [t for t in tokens if type(t) is float]
-    printed = (text for start in range(0, len(scalars), FLOAT_CHUNK)
-               for text in _float_text(np.array(scalars[start:start + FLOAT_CHUNK])).split(", "))
-    for t in tokens:
-        if isinstance(t, np.ndarray):
-            yield "["
-            for start in range(0, t.size, FLOAT_CHUNK):
-                yield (", " if start else "") + _float_text(t[start:start + FLOAT_CHUNK])
-            yield "]"
-        else:
-            yield next(printed) if type(t) is float else t
+        raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def write_json(obj: dict, path) -> None:
@@ -310,8 +284,6 @@ def read_spectrum(path) -> SchmidtSpectrum:
         raise SchemaError(f"{path}: dim={dim} but {len(coeffs)} coefficients")
     try:
         return make_spectrum(coeffs, input_kind="squared", normalize=False)
-    except NotNormalizedError as exc:
-        raise SchemaError(f"{path}: NotNormalized: {exc}") from exc
     except SchmidtForgeError as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
     except OverflowError as exc:  # an integer too large for a float

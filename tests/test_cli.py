@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import json
 import re
 import subprocess
@@ -88,6 +89,15 @@ class TestSampleCommand:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert not (tmp_path / "x.csv").exists()
         assert capsys.readouterr().err.count("DimensionTooLargeError") == 2
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main(["sample", "--dim", "4", "--seed", "0", "--count", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IoError: ") and str(out) in err
+        assert out.read_text() == "kept"
 
 
 class TestInterpCommand:
@@ -502,6 +512,35 @@ def test_closed_stdout_exits_quietly(large_spectrum):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+class FullDevice(StringIO):
+    """A stdout on a full device: every write fails with ENOSPC."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "{spectrum}"],
+    ["concentrate", "--spectrum", "{spectrum}", "--pref", "0.5"],
+    ["fixedp", "--spectrum", "{spectrum}", "--p", "0.5"],
+    ["kthreshold", "--spectrum", "{spectrum}", "--kmin", "2", "--gap", "0.1"],
+    ["validate", "--dim-max", "3", "--instances", "1"],
+])
+def test_full_stdout_is_an_io_error(worked_spectrum, tmp_path, monkeypatch, capsys, argv):
+    with open(tmp_path / "stdout", "w") as stand_in:  # the fd that devnull replaces
+        monkeypatch.setattr(sys, "stdout", FullDevice(stand_in.fileno()))
+        code = main([a.format(spectrum=worked_spectrum) for a in argv])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("IoError: cannot write stdout: ")
 
 
 def test_cli_import_leaves_oracle_unloaded():
