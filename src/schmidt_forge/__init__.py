@@ -15,7 +15,7 @@ from .efficiency import (
 )
 from .errors import SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .interp import InterpPoint, default_xi_grid, interp_sweep, interpolate
+from .interp import InterpPoint, interp_sweep, interpolate
 from .sampling import SampleSpec, sample_haar_spectrum
 from .spectrum import (
     Measures,
@@ -45,7 +45,6 @@ __all__ = sorted(_ORACLE_NAMES | {
     "SampleSpec",
     "SchmidtForgeError",
     "SchmidtSpectrum",
-    "default_xi_grid",
     "interp_sweep",
     "interpolate",
     "make_spectrum",

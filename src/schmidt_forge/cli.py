@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: measures, sample, interp, concentrate, fixedp, sweep, validate,
-kthreshold. Domain errors exit with status 1 and the error class name on
-stderr; usage errors, malformed grids and sample sizes included, exit 2. A
-reader that closes stdout early ends the command quietly with status 1; any
-other failed write to stdout, such as on a full device, is an IoError.
+Subcommands: measures, sample, concentrate, fixedp, sweep and validate, one
+route per computation. Domain errors exit with status 1 and the error class
+name on stderr; usage errors, malformed grids and sample sizes included, exit
+2. A reader that closes stdout early ends the command quietly with status 1;
+any other failed write to stdout, such as on a full device, is an IoError.
 Identical argv and seed produce byte-identical output files.
 """
 
@@ -19,9 +19,8 @@ import numpy as np
 
 from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
-from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, OutOfRangeError, SchmidtForgeError
+from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .interp import default_xi_grid
 from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 from .sweep import sweep_table
@@ -48,7 +47,8 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
     """Parse ``log:a:b:n`` / ``lin:a:b:n`` / comma-separated values.
 
     Endpoint tokens may be numbers or the literal ``1/D`` (resolved against
-    the spectrum's dimension).
+    the spectrum's dimension). Endpoints and their span must be finite, and
+    endpoints positive on a log grid; numpy would warn and return inf or NaN.
     """
     if text.startswith(("log:", "lin:")):
         parts = text.split(":")
@@ -60,6 +60,8 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
         n = int(num)
         if n < 1:
             raise ValueError("grid needs at least one point")
+        if not np.isfinite(b - a) or (kind == "log" and min(a, b) <= 0.0):
+            raise ValueError(f"grid {text!r} needs finite endpoints and span (positive for log)")
         if kind == "log":
             return np.geomspace(a, b, n)
         return np.linspace(a, b, n)
@@ -103,12 +105,6 @@ def _cmd_sample(args) -> int:
     for i, s in enumerate(sample_haar_spectrum(spec)):
         io.write_spectrum(s, out / f"spectrum_{i:04d}.json")
     print(f"wrote {spec.count} spectra to {out}")
-    return 0
-
-
-def _cmd_interp(args) -> int:
-    s = io.read_spectrum(args.spectrum)
-    io.write_csv(args.out, *sweep_table(s, "interp", default_xi_grid(args.grid_points)))
     return 0
 
 
@@ -168,17 +164,6 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_kthreshold(args) -> int:
-    s = io.read_spectrum(args.spectrum)
-    k_thr = args.kmin * (1.0 - args.gap)
-    if k_thr < 1.0:
-        raise OutOfRangeError(f"threshold Schmidt number {k_thr!r} below 1")
-    ref = reference_from("k_ref", k_thr, s.dim)
-    outcome = optimal_plan_efficiency(s, ref)
-    _emit(io.outcome_dict(outcome, "efficiency", ref.p_ref), args.out)
-    return 0
-
-
 # ------------------------------------------------------------------- parser
 
 
@@ -199,12 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_sample)
-
-    p = sub.add_parser("interp", help="interpolation-baseline sweep to CSV")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--grid-points", type=positive_int, default=101)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_interp)
 
     p = sub.add_parser("concentrate", help="efficiency-optimal plan for one reference")
     p.add_argument("--spectrum", required=True)
@@ -245,16 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("kthreshold", help="plan from a minimum desired Schmidt number")
-    p.add_argument("--spectrum", required=True)
-    p.add_argument("--kmin", type=float, required=True, help="minimum desirable Schmidt number")
-    p.add_argument(
-        "--gap", type=float, required=True,
-        help="relative slack below kmin for the threshold (K_thr = kmin * (1 - gap))",
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_kthreshold)
 
     return parser
 

@@ -12,13 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RankDeficientError, XiOutOfRangeError
 from .spectrum import Measures, SchmidtSpectrum, _Owned, measures
-
-#: default resolution of a sweep over xi
-DEFAULT_GRID_POINTS = 101
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +65,3 @@ def interp_sweep(s: SchmidtSpectrum, grid) -> list[InterpPoint]:
     its deletion waits until the benchmark stops doing so (ROADMAP item 1).
     """
     return [interpolate(s, xi) for xi in grid]
-
-
-def default_xi_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    return np.linspace(0.0, 1.0, points)

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import json
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,11 +23,12 @@ from schmidt_forge import (
     optimal_plan_fixed,
     sweep_table,
 )
-from schmidt_forge.cli import main, parse_grid
+from schmidt_forge.cli import build_parser, main, parse_grid
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 from helpers import haar, inject_fault, read_csv
 
+ROOT = Path(__file__).resolve().parents[1]
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
 
@@ -100,31 +102,6 @@ class TestSampleCommand:
         assert out.read_text() == "kept"
 
 
-class TestInterpCommand:
-    def test_writes_fig1_style_csv(self, worked_spectrum, tmp_path):
-        out = tmp_path / "interp.csv"
-        assert main([
-            "interp", "--spectrum", str(worked_spectrum),
-            "--grid-points", "11", "--out", str(out),
-        ]) == 0
-        header, rows = read_csv(out)
-        assert header == ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"]
-        assert len(rows) == 11
-        assert rows[0][0] == 0.0 and rows[0][1] == 1.0
-        assert rows[-1][1] == pytest.approx(0.4, abs=1e-12)
-
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_non_positive_grid_points_is_usage_error(self, worked_spectrum, tmp_path, capsys,
-                                                    points):
-        out = tmp_path / "interp.csv"
-        with pytest.raises(SystemExit) as err:
-            main(["interp", "--spectrum", str(worked_spectrum),
-                  "--grid-points", points, "--out", str(out)])
-        assert err.value.code == 2
-        assert f"--grid-points: must be at least 1, got {points}" in capsys.readouterr().err
-        assert not out.exists()
-
-
 class TestConcentrateCommand:
     def test_standard_endpoint(self, worked_spectrum, tmp_path):
         out = tmp_path / "out.json"
@@ -147,6 +124,22 @@ class TestConcentrateCommand:
 
     def test_domain_error_exit_code(self, worked_spectrum, capsys):
         code = main(["concentrate", "--spectrum", str(worked_spectrum), "--pref", "0.05"])
+        assert code == 1
+        assert "OutOfRangeError" in capsys.readouterr().err
+
+    def test_kref_threshold_heuristic(self, tmp_path, capsys):
+        # D = 16 state; ask for at least K = 8 with a 10% threshold gap, that
+        # is a reference Schmidt number K_thr = kmin * (1 - gap)
+        spath = tmp_path / "s.json"
+        io.write_spectrum(haar(16, 77), spath)
+        k_thr = 8 * (1 - 0.1)
+        assert main(["concentrate", "--spectrum", str(spath), "--kref", repr(k_thr)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["p_ref"] == pytest.approx(1 / k_thr, abs=1e-15)
+        assert data["schmidt_number"] >= k_thr - 1e-9
+
+    def test_kref_above_dimension_rejected(self, worked_spectrum, capsys):
+        code = main(["concentrate", "--spectrum", str(worked_spectrum), "--kref", "96.3"])
         assert code == 1
         assert "OutOfRangeError" in capsys.readouterr().err
 
@@ -200,6 +193,13 @@ class TestConcentrateCommand:
             ["concentrate", "--spectrum", str(worked_spectrum)],
             sweep + ["abc"],
             sweep + ["log:0:1:5"],
+            # numpy warns on these endpoints, and the warning filter fails a warning
+            sweep + ["log:1/D:inf:5"],
+            sweep + ["log:-1:1:5"],
+            sweep + ["log:1e-3:nan:3"],
+            sweep + ["lin:0:inf:3"],
+            sweep + ["lin:nan:1:3"],
+            sweep + ["lin:-1e308:1e308:3"],
             sweep + ["lin:0.5:1"],
             sweep + ["lin:0:1:0"],
             ["sweep", "--dim", "4", "--mode", "efficiency", "--out", str(tmp_path / "x.csv")],
@@ -380,6 +380,18 @@ class TestSweepCommand:
         purity = np.array([r[3] for r in rows])
         assert np.all(np.diff(purity) >= -1e-12)  # ascending p_fix: purity rises
 
+    def test_interp_mode_csv(self, worked_spectrum, tmp_path):
+        out = tmp_path / "interp.csv"
+        assert main([
+            "sweep", "--spectrum", str(worked_spectrum), "--mode", "interp",
+            "--xi-grid", "lin:0:1:11", "--out", str(out),
+        ]) == 0
+        header, rows = read_csv(out)
+        assert header == ["xi", "p_success", "purity", "schmidt_number", "concurrence_sq"]
+        assert len(rows) == 11
+        assert rows[0][0] == 0.0 and rows[0][1] == 1.0
+        assert rows[-1][1] == pytest.approx(0.4, abs=1e-12)
+
     def test_interp_mode_json_format(self, worked_spectrum, tmp_path):
         out = tmp_path / "interp.json"
         assert main([
@@ -457,30 +469,6 @@ class TestValidateCommand:
         assert out.count("PASS") == 6
 
 
-class TestKthresholdCommand:
-    def test_threshold_heuristic(self, tmp_path, capsys):
-        # D = 16 state; ask for at least K = 8 with a 10% threshold gap
-        spath = tmp_path / "s.json"
-        from helpers import haar
-
-        io.write_spectrum(haar(16, 77), spath)
-        assert main([
-            "kthreshold", "--spectrum", str(spath), "--kmin", "8", "--gap", "0.1",
-        ]) == 0
-        data = json.loads(capsys.readouterr().out)
-        k_thr = 8 * (1 - 0.1)
-        assert data["p_ref"] == pytest.approx(1 / k_thr, abs=1e-15)
-        assert data["schmidt_number"] >= k_thr - 1e-9
-
-    def test_threshold_above_dimension_rejected(self, worked_spectrum, capsys):
-        code = main([
-            "kthreshold", "--spectrum", str(worked_spectrum),
-            "--kmin", "100", "--gap", "0.037",
-        ])
-        assert code == 1
-        assert "OutOfRangeError" in capsys.readouterr().err
-
-
 @pytest.fixture
 def large_spectrum(tmp_path):
     """A D = 2^14 spectrum: its plan prints far more than a pipe holds."""
@@ -532,7 +520,6 @@ class FullDevice(StringIO):
     ["measures", "{spectrum}"],
     ["concentrate", "--spectrum", "{spectrum}", "--pref", "0.5"],
     ["fixedp", "--spectrum", "{spectrum}", "--p", "0.5"],
-    ["kthreshold", "--spectrum", "{spectrum}", "--kmin", "2", "--gap", "0.1"],
     ["validate", "--dim-max", "3", "--instances", "1"],
 ])
 def test_full_stdout_is_an_io_error(worked_spectrum, tmp_path, monkeypatch, capsys, argv):
@@ -558,3 +545,75 @@ def test_package_exports_resolve():
     assert schmidt_forge._ORACLE_NAMES <= set(schmidt_forge.__all__)
     for name in schmidt_forge.__all__:
         assert getattr(schmidt_forge, name) is not None, name
+
+
+#: a complete argv of each subcommand: its required options, each one with
+#: its value, then optional ones
+FULL_ARGV = {
+    "measures": ([["{spectrum}"]], []),
+    "sample": ([["--dim", "4"], ["--seed", "0"], ["--count", "1"], ["--out", "{out}"]], []),
+    "concentrate": ([["--spectrum", "{spectrum}"], ["--kref", "3.15"]], ["--out", "{out}"]),
+    "fixedp": ([["--spectrum", "{spectrum}"], ["--p", "0.7"]], ["--out", "{out}"]),
+    "sweep": ([["--spectrum", "{spectrum}"], ["--mode", "interp"], ["--xi-grid", "0.5"],
+               ["--out", "{out}"]], []),
+    "validate": ([], ["--dim-max", "3", "--instances", "1"]),
+}
+
+
+def _subcommands() -> set[str]:
+    return set(re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1).split(","))
+
+
+def _argv(parts, spectrum, out) -> list[str]:
+    return [a.format(spectrum=spectrum, out=out) for part in parts for a in part]
+
+
+def test_one_route_per_computation():
+    assert _subcommands() == set(FULL_ARGV)
+
+
+@pytest.mark.parametrize("command", sorted(FULL_ARGV))
+def test_full_argv_runs(worked_spectrum, tmp_path, command):
+    required, optional = FULL_ARGV[command]
+    assert main([command, *_argv([*required, optional], worked_spectrum, tmp_path / "out")]) == 0
+
+
+def _usage_faults():
+    for command, (required, optional) in FULL_ARGV.items():
+        for i, dropped in enumerate(required):
+            kept = required[:i] + required[i + 1:] + [optional]
+            yield pytest.param(command, kept, id=f"{command}-without-{dropped[0].strip('-{}')}")
+    # removed routes: `sweep --mode interp` and `concentrate --kref` replace them
+    yield pytest.param("interp", [["--spectrum", "{spectrum}"], ["--grid-points", "5"],
+                                  ["--out", "{out}"]], id="removed-interp")
+    yield pytest.param("kthreshold", [["--spectrum", "{spectrum}"], ["--kmin", "3.5"],
+                                      ["--gap", "0.1"], ["--out", "{out}"]],
+                       id="removed-kthreshold")
+
+
+@pytest.mark.parametrize("command, parts", _usage_faults())
+def test_dropped_option_or_removed_command_is_usage_error(worked_spectrum, tmp_path, capsys,
+                                                          command, parts):
+    with pytest.raises(SystemExit) as err:
+        main([command, *_argv(parts, worked_spectrum, tmp_path / "out")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [worked_spectrum]
+
+
+def test_readme_command_lines_parse():
+    # every `schmidt-forge` line of README's code blocks (the command-line
+    # block and the one that regenerates results/), continuation lines
+    # joined, must parse: a removed command or option cannot stay documented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"^```\w*\n(.*?)^```", readme, re.M | re.S))
+    lines = [line for line in blocks.replace("\\\n", " ").splitlines()
+             if line.startswith("schmidt-forge ")]
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert {shlex.split(line)[1] for line in lines} == _subcommands()

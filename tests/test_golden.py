@@ -2,9 +2,9 @@
 
 The JSON digests were taken from files written by an element-by-element
 serializer (kept as ``helpers.reference_render``); the CSV digests pin the
-sweep tables of ``sweep`` and ``interp``. The spectra are dyadic
-and the references chosen so that every dot product in a plan's measures came
-out the same when summed sequentially, in reverse, pairwise and by
+sweep tables of ``sweep``, one per mode. The spectra are dyadic and the
+references chosen so that every dot product in a plan's measures came out the
+same when summed sequentially, in reverse, pairwise and by
 ``math.fsum``, so the digests should not depend on the BLAS build. The
 ``sweep-json`` case is the exception: at P_ref = 0.4 its post spectrum is
 [0.4, 0.3, 0.15, 0.15], whose purity is 0.29500000000000004 summed
@@ -42,16 +42,15 @@ GOLDEN = {
     "spectrum-small": "36e1af7d36a3c843eea605df099ac04d6234e162b94d0b7fec102b12364ebbea",
     "spectrum-large": "30f9d1cda663f175eab46c7c5e3dfdff19ac78a04c2e592f32503e88e74974e4",
     "concentrate": "3cc8e2abfd437329f9836196ed7160cde1c569bfc3508725e7036c2ccec7413e",
+    "concentrate-kref": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
     "concentrate-large": "a648b6b92703fdf6353aa0d83a503ca0c07b2b80704126f89996cd38a373c738",
     "concentrate-signed-zero": "12a44a48c5be0bbff7dcf0408a3e6c9df6b1d6681019da27c064f402077400e1",
     "fixedp": "09661b102b67b96ee480b5da5c9be1cf6a7313b3d640ab200372b4cfc922e074",
-    "kthreshold": "b1aad6bdb78b56348ace3844a226650891be2f70e3cefce2ec082dac82b93748",
     "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
     "sweep-json": "a8013563bc6ca754731c75d1693c847ccf627eaf5fe6943852c6365a39a227d1",
     "sweep-csv-efficiency": "b4baee9bf08afaf1b40eec69bc74388560c03f57008b53a3b1430adf7bb21896",
     "sweep-csv-fixedprob": "f79fe1bae49fea24628aa279c3805fd5efc79e94e780101feadfe6318e970791",
     "sweep-csv-interp": "92c5f4d2ed405c8f198a2721f5d98eb7607849e6e2219ff756720435518b80ae",
-    "interp": "92c5f4d2ed405c8f198a2721f5d98eb7607849e6e2219ff756720435518b80ae",
 }
 
 #: plan vectors of seeded non-dyadic D = 2^12 spectra; a plan's y, x, post
@@ -105,12 +104,12 @@ def artefacts(tmp_path_factory):
     io.write_spectrum(_large_spectrum(), tmp / "spectrum-large.json")
     runs = {
         "concentrate": ["concentrate", "--spectrum", str(small), "--pref", "0.28"],
+        "concentrate-kref": ["concentrate", "--spectrum", str(small), "--kref", "3.15"],
         "concentrate-large": ["concentrate", "--spectrum", str(large),
                               "--pref", repr(1.5 / LARGE_DIM)],
         "concentrate-signed-zero": ["concentrate", "--spectrum", str(signed_zero),
                                     "--pref", "0.5"],
         "fixedp": ["fixedp", "--spectrum", str(small), "--p", "0.7"],
-        "kthreshold": ["kthreshold", "--spectrum", str(small), "--kmin", "3.5", "--gap", "0.1"],
         "sweep-json": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
                        "--pref-grid", "0.26,0.28,0.32,0.4", "--format", "json"],
         "sweep-csv-efficiency": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
@@ -119,7 +118,6 @@ def artefacts(tmp_path_factory):
                                 "--pfix-grid", "0.5,0.625,0.8125,1"],
         "sweep-csv-interp": ["sweep", "--spectrum", str(small), "--mode", "interp",
                              "--xi-grid", "lin:0:1:5"],
-        "interp": ["interp", "--spectrum", str(small), "--grid-points", "5"],
     }
     for name, argv in runs.items():
         assert main(argv + ["--out", str(tmp / name)]) == 0

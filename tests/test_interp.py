@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from schmidt_forge import default_xi_grid, interp_sweep, interpolate, make_spectrum
+from schmidt_forge import interp_sweep, interpolate, make_spectrum
 from schmidt_forge.errors import RankDeficientError, XiOutOfRangeError
 
 from helpers import spectra
@@ -69,11 +69,6 @@ class TestSweep:
 
     def test_empty_grid(self):
         assert interp_sweep(make_spectrum(WORKED), []) == []
-
-    def test_default_grid(self):
-        grid = default_xi_grid()
-        assert grid.size == 101
-        assert grid[0] == 0.0 and grid[-1] == 1.0
 
 
 class TestProperties:
