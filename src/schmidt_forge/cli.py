@@ -27,6 +27,9 @@ from .sweep import sweep_table
 
 #: the grid option each sweep mode reads
 SWEEP_GRID_OPTIONS = {"efficiency": "pref_grid", "fixedprob": "pfix_grid", "interp": "xi_grid"}
+#: most points of a log: or lin: grid; each point is a row of the sweep table,
+#: and a larger count is a usage error before any array is made
+MAX_GRID_POINTS = 100_000
 
 
 def positive_int(text: str) -> int:
@@ -49,6 +52,7 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
     Endpoint tokens may be numbers or the literal ``1/D`` (resolved against
     the spectrum's dimension). Endpoints and their span must be finite, and
     endpoints positive on a log grid; numpy would warn and return inf or NaN.
+    A log: or lin: grid has 1 to ``MAX_GRID_POINTS`` points.
     """
     if text.startswith(("log:", "lin:")):
         parts = text.split(":")
@@ -58,8 +62,8 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
         a = _grid_token(lo, dim)
         b = _grid_token(hi, dim)
         n = int(num)
-        if n < 1:
-            raise ValueError("grid needs at least one point")
+        if not 1 <= n <= MAX_GRID_POINTS:
+            raise ValueError(f"grid needs 1 to {MAX_GRID_POINTS} points, got {n}")
         if not np.isfinite(b - a) or (kind == "log" and min(a, b) <= 0.0):
             raise ValueError(f"grid {text!r} needs finite endpoints and span (positive for log)")
         if kind == "log":

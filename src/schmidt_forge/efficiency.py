@@ -16,7 +16,7 @@ the orthotope 0 <= x_m <= a_m^2, and L solves L = P_ref * sum_m min(a_m^2, L).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     RankDeficientFullConcentrationError,
 )
-from .spectrum import Measures, SchmidtSpectrum, _Owned, _frozen_array, measures
+from .spectrum import Measures, SchmidtSpectrum, _Owned, _frozen_array, frontier, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -164,8 +164,18 @@ def _outcome_from_plan(
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
+def _newton_level(p_ref: float, beta: float, n: int) -> float:
+    """Root P_ref * beta / (1 - n * P_ref) of the level equation on the piece
+    that cuts n coefficients and leaves the weight beta below the level."""
+    num = p_ref * beta
+    denom = 1.0 - n * p_ref
+    # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
+    # root is representable: then divide first
+    return num / denom if num >= _MIN_NORMAL else beta / denom * p_ref
+
+
 def _efficiency_level(
-    sq: np.ndarray, p_ref: float, top: float
+    sq: np.ndarray, p_ref: float, top: float, piece: tuple[float, float] | None = None
 ) -> tuple[float, int, np.ndarray, float]:
     """Positive root of L = P_ref * sum_m min(a_m^2, L), for 1/D < P_ref < top = max a^2,
     with the crop size n = #{a^2 >= L}, the uncut coefficients a^2 < L and
@@ -179,7 +189,30 @@ def _efficiency_level(
     n * P_ref >= 1, has no positive root on its piece and keeps its level.
     A step that cuts fewer has been rounded above the root, past a
     coefficient (a subnormal near-tie); the level before it is kept.
+
+    The loop's answer depends only on the crop it ends on: the step from
+    that crop, with rest and beta taken below it in array order. A sweep
+    passes ``piece``, two adjacent sorted coefficients hi > lo from its
+    frontier, and the crop at hi is solved in one pass. Its step, computed
+    with a relative error below eta = (D + 8) * 2^-53 / (1 - n * P_ref)
+    whatever the order of the sum, is kept if it lies more than 4 * eta
+    inside (lo, hi). Then the exact root lies on this piece, every step from
+    a smaller crop lands above lo and below the next uncut coefficient, and
+    the loop from max a^2 ends on this crop with the same bytes. Anywhere
+    else, near a breakpoint, at a tie or off the frontier's piece, the loop
+    runs from max a^2.
     """
+    if piece is not None:
+        hi, lo = piece
+        rest = sq.compress(sq < hi)
+        n = sq.size - rest.size
+        beta = float(np.add.reduce(rest))
+        denom = 1.0 - n * p_ref
+        if p_ref * beta >= _MIN_NORMAL and denom > 0.0:
+            level = _newton_level(p_ref, beta, n)
+            tol = (sq.size + 8) * 2.0**-51 / denom
+            if lo < level * (1.0 - tol) and level <= hi * (1.0 - tol):
+                return level, n, rest, beta
     level = top
     n_prev = 0
     while True:
@@ -193,15 +226,48 @@ def _efficiency_level(
         if n == n_prev or beta == 0.0 or n * p_ref >= 1.0:
             return level, n, rest, beta
         prev = level, n, rest, beta
-        num = p_ref * beta
-        denom = 1.0 - n * p_ref
-        # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
-        # root is representable: then divide first
-        level = num / denom if num >= _MIN_NORMAL else beta / denom * p_ref
+        level = _newton_level(p_ref, beta, n)
         n_prev = n
 
 
-def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> ConcentrationOutcome:
+class _Sweep:
+    """What the points of one efficiency sweep over a spectrum share.
+
+    Of the spectrum's frontier it keeps the descending a_n^2 and -r_n, where
+    r_n = a_n^2 / p_n (0 where p_n = 0) decreases with n: a reference
+    between 1/D and max a^2 crops the n with r_n >= P_ref, so its level
+    search starts on the piece [a_{n+1}^2, a_n^2]. The identity outcome and
+    sum a^4 are made by the first reference at or above max a^2; every
+    later one only gets its own q.
+    """
+
+    def __init__(self, s: SchmidtSpectrum):
+        a, _, p = frontier(s)
+        r = np.divide(a, p, out=np.zeros_like(a), where=p > 0.0)
+        self.a, self.neg_r = a, np.negative(r, out=r)
+        self.identity = None
+
+    def crop_count(self, p_ref: float) -> int:
+        """The frontier's crop count at ``p_ref``: #{r_n >= P_ref}."""
+        return int(np.searchsorted(self.neg_r, -p_ref, side="right"))
+
+    def piece(self, p_ref: float) -> tuple[float, float] | None:
+        """The frontier's piece at ``p_ref``: a_n^2 and a_{n+1}^2."""
+        n = self.crop_count(p_ref)
+        return (float(self.a[n - 1]), float(self.a[n])) if 0 < n < self.a.size else None
+
+    def identity_outcome(self, s: SchmidtSpectrum, p_ref: float) -> ConcentrationOutcome:
+        if self.identity is None:
+            sq = s.sq_coeffs
+            plan = _level_plan(s, s.max_sq, 0)
+            self.identity = _outcome_from_plan(s, plan, None), float(sq @ sq)
+        outcome, sum_sq = self.identity
+        return replace(outcome, q_value=_scale(s.dim) * (p_ref - sum_sq))
+
+
+def optimal_plan_efficiency(
+    s: SchmidtSpectrum, ref: ReferenceLevel, _sweep: _Sweep | None = None
+) -> ConcentrationOutcome:
     """Globally maximize the efficiency payoff over all diagonal plans.
 
     Every plan is one water level L, x_m = min(a_m^2, L). At the minimum
@@ -215,6 +281,9 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
     coefficient at or above the water level L down to L, where L is the
     positive root of L = P_ref * sum_m min(a_m^2, L); n_opt counts the cut
     coefficients.
+
+    ``_sweep`` is private to :func:`schmidt_forge.sweep.sweep_table`: the
+    state its points share, which changes no byte of the outcome.
     """
     if s.dim != ref.dim:
         raise DimensionMismatchError(
@@ -246,9 +315,12 @@ def optimal_plan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> Concentr
     sq = s.sq_coeffs
     top = s.max_sq
     if p_ref >= top:
+        if _sweep is not None:
+            return _sweep.identity_outcome(s, p_ref)
         identity = _level_plan(s, top, 0)
         return _outcome_from_plan(s, identity, _scale(d) * (p_ref - float(sq @ sq)))
 
-    level, n, rest, beta = _efficiency_level(sq, p_ref, top)
+    piece = None if _sweep is None else _sweep.piece(p_ref)
+    level, n, rest, beta = _efficiency_level(sq, p_ref, top, piece)
     q = _scale(d) * (level * beta - float(rest @ rest))
     return _outcome_from_plan(s, _level_plan(s, level, n), q)

@@ -20,11 +20,12 @@ coefficients outside Z, so ``best_zero_face_gain`` scores the same table on
 sq[~Z] for every nonempty Z: with sq itself, all 3^D zero / upper-bound /
 interior assignments.
 
-For dimensions beyond enumeration, ``frontier`` sorts the coefficients: every
-optimal plan crops a top-n prefix, and the crop count changes at the
-breakpoints p_n = beta_n + n * a_n^2. ``prefix_scan_fixed`` and
+For dimensions beyond enumeration, ``spectrum.frontier`` sorts the
+coefficients: every optimal plan crops a top-n prefix, and the crop count
+changes at the breakpoints p_n = beta_n + n * a_n^2. ``prefix_scan_fixed`` and
 ``prefix_scan_efficiency`` count breakpoints, then solve for that count's
-level alone; they share no code with the planners' unsorted Newton steps.
+level alone; they share no code with the planners' unsorted Newton steps,
+which an efficiency sweep only starts on the frontier.
 
 The module also carries the relative-difference metrics used to compare the
 two routes, and direct checks of two structural facts: the unreferenced
@@ -63,7 +64,7 @@ from .errors import (
 )
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .sampling import _one_spectrum
-from .spectrum import SchmidtSpectrum, measures
+from .spectrum import SchmidtSpectrum, frontier, measures
 
 #: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
@@ -373,15 +374,6 @@ def numeric_qp_ascent(
         delta_q_relative=delta_q,
         converged=converged,
     )
-
-
-def frontier(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Descending a_n^2, the weight beta_n below the top n, and the breakpoints
-    p_n = beta_n + n * a_n^2 (the success probability of the level a_n^2), for
-    n = 1..D: every optimal plan crops the top n at a level in [a_{n+1}^2, a_n^2]."""
-    a = np.sort(s.sq_coeffs)[::-1]
-    beta = np.append(np.cumsum(a[::-1])[::-1][1:], 0.0)
-    return a, beta, beta + np.arange(1, a.size + 1) * a
 
 
 def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int, float]:

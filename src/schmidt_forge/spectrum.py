@@ -177,6 +177,21 @@ def measures(s: SchmidtSpectrum) -> Measures:
     )
 
 
+def frontier(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descending a_n^2, the weight beta_n below the top n, and the breakpoints
+    p_n = beta_n + n * a_n^2 (the success probability of the level a_n^2), for
+    n = 1..D: every optimal plan crops the top n at a level in [a_{n+1}^2, a_n^2].
+
+    It costs a sort, more than one plan's solve, so only sweeps and oracles
+    build it. An efficiency sweep keeps a_n^2 and r_n = a_n^2 / p_n, which
+    decreases with n: the optimum at P_ref crops the n with r_n >= P_ref, so
+    each point's level search starts on the crop of that n.
+    """
+    a = np.sort(s.sq_coeffs)[::-1]
+    beta = np.append(np.cumsum(a[::-1])[::-1][1:], 0.0)
+    return a, beta, beta + np.arange(1, a.size + 1) * a
+
+
 def sort_descending(s: SchmidtSpectrum) -> tuple[SchmidtSpectrum, tuple[int, ...]]:
     """Sort coefficients in nonincreasing order.
 

@@ -2,13 +2,19 @@
 
 A sweep evaluates the efficiency planner over reference purities P_ref, the
 fixed-probability planner over success probabilities p_fix, or the
-interpolation baseline over xi. The CLI and the experiment scripts write
-these rows as they are.
+interpolation baseline over xi. CLI ``sweep`` writes these rows as they are.
+
+Every point goes through its planner's checks and plan assembly, so each
+row, and each error, is the single-point call's. An efficiency sweep shares
+one frontier of the spectrum between its points: a sort, then O(D) extra
+memory for the sorted coefficients and their breakpoints, which start each
+point's level search on its own crop. It also shares one identity outcome,
+made by the first reference at or above max a^2.
 """
 
 from __future__ import annotations
 
-from .efficiency import ReferenceLevel, optimal_plan_efficiency
+from .efficiency import ReferenceLevel, _Sweep, optimal_plan_efficiency
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import interpolate
 from .spectrum import SchmidtSpectrum
@@ -25,7 +31,8 @@ FIXEDPROB_COLUMNS = [
 def sweep_table(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[list]]:
     """The sweep table of ``mode`` ("efficiency", "fixedprob" or "interp"):
     its header and one row per grid value, in grid order. Points are made one
-    at a time, so only one plan or interpolated spectrum is alive at once."""
+    at a time, so only one plan or interpolated spectrum is alive at once,
+    besides an efficiency sweep's frontier and identity outcome."""
     if mode not in ("efficiency", "fixedprob", "interp"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "interp":
@@ -37,9 +44,10 @@ def sweep_table(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[li
         return INTERP_COLUMNS, rows
     header = EFFICIENCY_COLUMNS if mode == "efficiency" else FIXEDPROB_COLUMNS
     rows = []
+    shared = _Sweep(s) if mode == "efficiency" else None
     for v in grid:
         if mode == "efficiency":
-            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v))
+            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v), shared)
         else:
             o = optimal_plan_fixed(s, FixedProbRequest(v))
         m = o.post_measures

@@ -23,7 +23,7 @@ from schmidt_forge import (
     optimal_plan_fixed,
     sweep_table,
 )
-from schmidt_forge.cli import build_parser, main, parse_grid
+from schmidt_forge.cli import MAX_GRID_POINTS, build_parser, main, parse_grid
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 from helpers import haar, inject_fault, read_csv
@@ -52,6 +52,23 @@ class TestGridParsing:
 
     def test_explicit_list(self):
         assert np.array_equal(parse_grid("0.3,0.5,0.9", 4), [0.3, 0.5, 0.9])
+
+    @pytest.mark.parametrize("kind", ["lin", "log"])
+    def test_point_count_is_capped(self, kind):
+        assert parse_grid(f"{kind}:0.2:1:{MAX_GRID_POINTS}", 8).size == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"grid needs 1 to {MAX_GRID_POINTS} points"):
+            parse_grid(f"{kind}:0.2:1:{MAX_GRID_POINTS + 1}", 8)
+
+    def test_count_above_the_cap_is_a_usage_error(self, tmp_path, capsys):
+        # rejected before any array is made, and before the output is written
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--dim", "8", "--seed", "0", "--mode", "efficiency",
+                  "--pref-grid", f"lin:0.2:1:{MAX_GRID_POINTS + 1}", "--out", str(out)])
+        assert err.value.code == 2
+        captured = capsys.readouterr().err
+        assert "grid needs 1 to" in captured and "Traceback" not in captured
+        assert not out.exists()
 
 
 class TestMeasuresCommand:
@@ -530,12 +547,22 @@ def test_full_stdout_is_an_io_error(worked_spectrum, tmp_path, monkeypatch, caps
     assert capsys.readouterr().err.startswith("IoError: cannot write stdout: ")
 
 
-def test_cli_import_leaves_oracle_unloaded():
-    # only `validate` needs the oracles, so no other command pays for their import
+def test_cli_import_leaves_oracle_unloaded(tmp_path):
+    # only `validate` needs the oracles, so no other command pays for their
+    # import; an efficiency sweep builds the frontier without them
     src = str(Path(io.__file__).parents[1])
     check = "import sys, schmidt_forge.cli; sys.exit('schmidt_forge.oracle' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
     assert result.returncode == 0, result.stderr
+    sweep = ("import sys; from schmidt_forge.cli import main; "
+             "code = main(['sweep', '--dim', '16', '--seed', '0', '--mode', 'efficiency', "
+             "'--pref-grid', 'log:1/D:1:20', '--out', sys.argv[1]]); "
+             "sys.exit(code or 10 * ('schmidt_forge.oracle' in sys.modules))")
+    out = tmp_path / "sweep.csv"
+    result = subprocess.run([sys.executable, "-c", sweep, str(out)], cwd=src,
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert len(read_csv(out)[1]) == 20
 
 
 def test_package_exports_resolve():
