@@ -26,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     RankDeficientFullConcentrationError,
 )
-from .spectrum import Measures, SchmidtSpectrum, _Owned, _frozen_array, frontier, measures
+from .spectrum import Measures, SchmidtSpectrum, _frozen_array, frontier, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -36,6 +36,11 @@ FEAS_TOL = 1e-12
 P_REF_TOL = 2.0**-53
 #: smallest positive normal float
 _MIN_NORMAL = sys.float_info.min
+
+
+def _check_dim(dim: int) -> None:
+    if not dim >= 2:
+        raise OutOfRangeError(f"dim={dim!r} below 2: a reference level needs dim >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +56,7 @@ class ReferenceLevel:
     p_ref: float
 
     def __post_init__(self):
+        _check_dim(self.dim)
         lo = 1.0 / self.dim
         if not lo - P_REF_TOL <= self.p_ref <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(
@@ -71,6 +77,7 @@ def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
     within ``FEAS_TOL`` past the bound that means the minimum P_ref (c_ref = 1,
     c_ref_sq = 1, k_ref = D) is taken as that bound.
     """
+    _check_dim(dim)
     value = float(value)
     if kind == "p_ref":
         p_ref = value
@@ -110,6 +117,20 @@ class ConcentrationPlan:
     x: np.ndarray
     n_opt: int
     crop_level: float
+
+    @classmethod
+    def _adopt(cls, y: np.ndarray, x: np.ndarray, n_opt: int, crop_level: float):
+        """A plan of arrays this package has just made, stored as given: it
+        skips ``__init__`` and ``__post_init__``, so nothing is copied, and
+        ``y`` and ``x`` are made read-only in place."""
+        plan = object.__new__(cls)
+        y.setflags(write=False)
+        x.setflags(write=False)
+        object.__setattr__(plan, "y", y)
+        object.__setattr__(plan, "x", x)
+        object.__setattr__(plan, "n_opt", n_opt)
+        object.__setattr__(plan, "crop_level", crop_level)
+        return plan
 
     def __post_init__(self):
         for name in ("y", "x"):
@@ -151,7 +172,7 @@ def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     # L / L, exactly 1.0 because every level is finite and positive
     y = np.maximum(sq, level)
     np.divide(level, y, out=y)
-    return ConcentrationPlan(y=_Owned(y), x=_Owned(sq * y), n_opt=n, crop_level=float(level))
+    return ConcentrationPlan._adopt(y, sq * y, n, float(level))
 
 
 def _outcome_from_plan(
@@ -160,7 +181,7 @@ def _outcome_from_plan(
     p_success = float(np.add.reduce(plan.x))
     # 0 <= x_m <= a^2 is finite and p_success > 0 (the level is positive), so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    post = SchmidtSpectrum(s.dim, _Owned(plan.x / p_success))
+    post = SchmidtSpectrum._adopt(s.dim, plan.x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
@@ -300,7 +321,7 @@ def optimal_plan_efficiency(
             )
         plan = _level_plan(s, amin, d)
         # the uniform spectrum, valid for every D >= 2
-        post = SchmidtSpectrum(d, _Owned(np.full(d, 1.0 / d)))
+        post = SchmidtSpectrum._adopt(d, np.full(d, 1.0 / d))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
     rank = s.rank

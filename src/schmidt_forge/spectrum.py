@@ -28,32 +28,20 @@ NORM_TOL = 1e-12
 INGEST_TOL = 1e-9
 
 
-class _Owned:
-    """A float64 array this package has just made, handed to a constructor
-    that stores it read-only without a copy.
-
-    A spectrum is checked once, where it enters the package. Its derived
-    spectra (a planner's post spectrum, standard concentration's 1/D, an
-    interpolation, ``make_spectrum``'s checked input over its sum) are valid
-    by construction, so a spectrum built from an ``_Owned`` array skips the
-    value checks; each site says why its values are valid.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 def _frozen_array(values) -> np.ndarray:
-    """A read-only float64 array of ``values``.
-
-    Only an :class:`_Owned` array is kept as it is; anything else is copied,
-    so no array of a caller, whatever its flags, can change what is stored.
-    """
-    a = values.array if type(values) is _Owned else np.array(values, dtype=float)
+    """A read-only float64 copy: no array of a caller can change what is stored."""
+    a = np.array(values, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_shape(dim: int, coeffs: np.ndarray) -> None:
+    if coeffs.ndim != 1:
+        raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {coeffs.shape}")
+    if dim != coeffs.size:
+        raise InvalidSpectrumError(f"dim={dim} does not match {coeffs.size} coefficients")
+    if dim < 2:
+        raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,18 +51,22 @@ class SchmidtSpectrum:
     dim: int
     sq_coeffs: np.ndarray
 
+    @classmethod
+    def _adopt(cls, dim: int, sq_coeffs: np.ndarray) -> SchmidtSpectrum:
+        """A spectrum of values this package has just made, stored as given: it
+        skips ``__init__`` and ``__post_init__``, so nothing is copied or checked,
+        and ``sq_coeffs`` is made read-only in place. Each caller says why its
+        values are valid; a spectrum is checked once, where it enters."""
+        s = object.__new__(cls)
+        sq_coeffs.setflags(write=False)
+        object.__setattr__(s, "dim", dim)
+        object.__setattr__(s, "sq_coeffs", sq_coeffs)
+        return s
+
     def __post_init__(self):
-        derived = type(self.sq_coeffs) is _Owned
         coeffs = _frozen_array(self.sq_coeffs)
         object.__setattr__(self, "sq_coeffs", coeffs)
-        if coeffs.ndim != 1 or self.dim != coeffs.size:
-            raise InvalidSpectrumError(
-                f"dim={self.dim} does not match {coeffs.size} coefficients"
-            )
-        if self.dim < 2:
-            raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
-        if derived:
-            return
+        _check_shape(self.dim, coeffs)
         # a NaN propagates through both the min and the max, so it fails the first test
         lo, hi = np.minimum.reduce(coeffs), np.maximum.reduce(coeffs)
         if not -np.inf < lo <= hi < np.inf:
@@ -157,9 +149,10 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
+    _check_shape(squares.size, squares)
     # the squares are finite and nonnegative with a positive finite sum, so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    return SchmidtSpectrum(int(squares.size), _Owned(squares / total))
+    return SchmidtSpectrum._adopt(int(squares.size), squares / total)
 
 
 def measures(s: SchmidtSpectrum) -> Measures:

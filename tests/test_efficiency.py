@@ -67,6 +67,17 @@ class TestReferenceFrom:
         with pytest.raises(OutOfRangeError):
             reference_from("p_ref", 1.3, 4)
 
+    @pytest.mark.parametrize("dim", [-1, 0, 1])
+    @pytest.mark.parametrize("kind, value", [
+        ("p_ref", 0.5), ("c_ref", 0.5), ("c_ref_sq", 0.5), ("k_ref", 1.0),
+    ])
+    def test_dimension_below_two(self, kind, value, dim):
+        message = f"^dim={dim} below 2: a reference level needs dim >= 2$"
+        with pytest.raises(OutOfRangeError, match=message):
+            reference_from(kind, value, dim)
+        with pytest.raises(OutOfRangeError, match=message):
+            ReferenceLevel(dim, value)
+
 
 class TestEfficiencyQ:
     def test_reference_equals_achieved_purity(self):

@@ -16,7 +16,7 @@ from schmidt_forge import (
     optimal_plan_fixed,
     sort_descending,
 )
-from schmidt_forge.efficiency import ConcentrationPlan
+from schmidt_forge.efficiency import ConcentrationPlan, _Sweep
 from schmidt_forge.errors import (
     EmptyInputError,
     InvalidSpectrumError,
@@ -208,6 +208,19 @@ class TestErrorPrecedence:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make_spectrum(values, input_kind=input_kind, normalize=normalize)
 
+    @pytest.mark.parametrize("dim, values, message", [
+        (4, np.full((2, 2), 0.25), "coefficients must be a 1-D array, not shape (2, 2)"),
+        (1, np.array(1.0), "coefficients must be a 1-D array, not shape ()"),
+        (3, np.array([0.5, 0.5]), "dim=3 does not match 2 coefficients"),
+        (1, np.array([1.0]), "a bipartite spectrum needs dim >= 2"),
+    ])
+    def test_structure(self, dim, values, message):
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
+            SchmidtSpectrum(dim, values)
+        if values.size == dim:
+            with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
+                make_spectrum(values)
+
     @pytest.mark.parametrize("values, total", [([1.5, 0.0], "1.5"), ([0.3, 0.3], "0.6")])
     def test_ingest_bad_sum(self, values, total):
         message = f"squared coefficients sum to {total}; pass normalize=True to rescale"
@@ -241,6 +254,37 @@ class TestImmutability:
     def test_stored_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
             SchmidtSpectrum(2, np.array([0.5, 0.5 + 1e-9]))
+
+
+S5 = [0.4, 0.25, 0.15, 0.12, 0.08]
+
+
+class TestPlannerOutputs:
+    """Every array a planner or interpolation makes is stored without a
+    copy: it must be read-only and share no memory with the input."""
+
+    @pytest.mark.parametrize("run, n_opt", [
+        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.2)), 5),
+        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.9)), 0),
+        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.9), _Sweep(s)), 0),
+        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.3)), 1),
+        (lambda s: optimal_plan_fixed(s, FixedProbRequest(0.5)), 4),
+        (lambda s: optimal_plan_fixed(s, FixedProbRequest(1.0)), 0),
+        (lambda s: interpolate(s, 0.5), None),
+    ], ids=["standard", "identity", "sweep-identity", "level", "fixed", "fixed-p1",
+            "interp"])
+    def test_read_only_and_unshared(self, run, n_opt):
+        s = make_spectrum(S5)
+        out = run(s)
+        if n_opt is None:
+            arrays = [out.spectrum.sq_coeffs]
+        else:
+            assert out.plan.n_opt == n_opt
+            arrays = [out.plan.y, out.plan.x, out.post_spectrum.sq_coeffs]
+        for a in arrays:
+            assert not np.shares_memory(a, s.sq_coeffs)
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
 
 QUARTERS = [0.5, 0.25, 0.25]
