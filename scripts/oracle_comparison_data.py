@@ -11,7 +11,6 @@ from pathlib import Path
 
 from schmidt_forge import (
     ReferenceLevel,
-    SampleSpec,
     numeric_qp_ascent,
     sample_haar_spectrum,
 )
@@ -29,7 +28,7 @@ def main():
     ap.add_argument("--out", default="results/oracle_comparison.csv")
     args = ap.parse_args()
 
-    s = sample_haar_spectrum(SampleSpec(dim=args.dim, seed=args.seed, count=1))[0]
+    s = sample_haar_spectrum(args.dim, args.seed, 1)[0]
     grid = np.geomspace(2.0 / args.dim, 1.0, args.grid_points)
     rows = []
     for p_ref in grid:

@@ -16,7 +16,7 @@ from .efficiency import (
 from .errors import SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import InterpPoint, interp_sweep, interpolate
-from .sampling import SampleSpec, sample_haar_spectrum
+from .sampling import sample_haar_spectrum
 from .spectrum import (
     Measures,
     SchmidtSpectrum,
@@ -42,7 +42,6 @@ __all__ = sorted(_ORACLE_NAMES | {
     "InterpPoint",
     "Measures",
     "ReferenceLevel",
-    "SampleSpec",
     "SchmidtForgeError",
     "SchmidtSpectrum",
     "interp_sweep",

@@ -21,7 +21,7 @@ from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .sampling import MAX_SAMPLE_DIM, SampleSpec, sample_haar_spectrum
+from .sampling import MAX_SAMPLE_DIM, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 from .sweep import sweep_table
 
@@ -100,15 +100,16 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = SampleSpec(dim=args.dim, seed=args.seed, count=args.count)
+    # drawn before --out is made, so a refused argument writes nothing
+    spectra = sample_haar_spectrum(args.dim, args.seed, args.count)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. --out names an existing file
         raise IoError(f"cannot create directory {out}: {exc}") from exc
-    for i, s in enumerate(sample_haar_spectrum(spec)):
+    for i, s in enumerate(spectra):
         io.write_spectrum(s, out / f"spectrum_{i:04d}.json")
-    print(f"wrote {spec.count} spectra to {out}")
+    print(f"wrote {args.count} spectra to {out}")
     return 0
 
 
@@ -138,8 +139,7 @@ def _cmd_fixedp(args) -> int:
 def _load_sweep_spectrum(args) -> SchmidtSpectrum:
     if args.spectrum:
         return io.read_spectrum(args.spectrum)
-    spec = SampleSpec(dim=args.dim, seed=args.seed, count=1)
-    return sample_haar_spectrum(spec)[0]
+    return sample_haar_spectrum(args.dim, args.seed, 1)[0]
 
 
 def _cmd_sweep(args) -> int:

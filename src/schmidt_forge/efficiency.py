@@ -73,19 +73,14 @@ class ReferenceLevel:
 def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
     """Build a reference level from any of its equivalent parameterizations.
 
-    ``kind`` is one of ``p_ref``, ``c_ref``, ``c_ref_sq``, ``k_ref``. A value
-    within ``FEAS_TOL`` past the bound that means the minimum P_ref (c_ref = 1,
-    c_ref_sq = 1, k_ref = D) is taken as that bound.
+    ``kind`` is one of ``p_ref``, ``c_ref_sq``, ``k_ref``. A value within
+    ``FEAS_TOL`` past the bound that means the minimum P_ref (c_ref_sq = 1,
+    k_ref = D) is taken as that bound.
     """
     _check_dim(dim)
     value = float(value)
     if kind == "p_ref":
         p_ref = value
-    elif kind == "c_ref":
-        if not -FEAS_TOL <= value <= 1.0 + FEAS_TOL:
-            raise OutOfRangeError(f"c_ref={value!r} outside [0, 1]")
-        value = min(value, 1.0)
-        p_ref = 1.0 - (dim - 1.0) / dim * value * value
     elif kind == "c_ref_sq":
         if not -FEAS_TOL <= value <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(f"c_ref_sq={value!r} outside [0, 1]")

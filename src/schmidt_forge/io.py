@@ -283,7 +283,7 @@ def read_spectrum(path) -> SchmidtSpectrum:
     if dim != len(coeffs):
         raise SchemaError(f"{path}: dim={dim} but {len(coeffs)} coefficients")
     try:
-        return make_spectrum(coeffs, input_kind="squared", normalize=False)
+        return make_spectrum(coeffs)
     except SchmidtForgeError as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
     except OverflowError as exc:  # an integer too large for a float

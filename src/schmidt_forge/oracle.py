@@ -68,6 +68,13 @@ from .spectrum import SchmidtSpectrum, frontier, measures
 
 #: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
+#: the stopping rule of each start of numeric_qp_ascent
+ASCENT_TOL = 1e-12
+ASCENT_MAX_ITER = 100_000
+#: uniform box points that appendix_a_check scores
+APPENDIX_A_TRIALS = 10_000
+#: largest x difference between the two planners that duality_check accepts
+DUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +166,7 @@ def apply_plan(
     return ConcentrationOutcome(plan, p_success, post, measures(post), q)
 
 
-def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -> bool:
+def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel) -> bool:
     """Cross-validate the two planners against each other.
 
     Feeding the efficiency optimum's success probability to the
@@ -169,7 +176,7 @@ def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel, tol: float = 1e-10) -
     """
     eff = optimal_plan_efficiency(s, ref)
     fixed = optimal_plan_fixed(s, FixedProbRequest(eff.p_success))
-    return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= tol)
+    return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= DUALITY_TOL)
 
 
 def relative_diffs(y_num, y_alg, q_num: float, q_alg: float) -> tuple[float, float]:
@@ -280,9 +287,7 @@ def numeric_qp_ascent(
     s: SchmidtSpectrum,
     ref: ReferenceLevel,
     restarts: int = 32,
-    tol: float = 1e-12,
     seed: int = 0,
-    max_iter: int = 100_000,
 ) -> OracleReport:
     """Box-projected gradient ascent on the payoff, from many starts.
 
@@ -292,15 +297,13 @@ def numeric_qp_ascent(
     quadratic well conditioned whatever the coefficient spread; clipping to
     [0, a_m^2] is the exact box projection there. Each step backtracks until
     the Armijo condition holds; a start stops when the y-space
-    projected-gradient norm drops below ``tol``, progress stalls at rounding
-    level, or ``max_iter`` passes. The best end point is kept; a later start
-    only displaces it on a relative improvement above 1e-12 so coinciding
-    maxima do not churn on float noise.
+    projected-gradient norm drops below ``ASCENT_TOL``, progress stalls at
+    rounding level, or ``ASCENT_MAX_ITER`` steps pass. The best end point is
+    kept; a later start only displaces it on a relative improvement above
+    1e-12 so coinciding maxima do not churn on float noise.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     d = s.dim
     sq = s.sq_coeffs
     p_ref = ref.p_ref
@@ -312,13 +315,13 @@ def numeric_qp_ascent(
         q = scale * _payoff(p_ref, x)
         step = 1.0
         stall = 0
-        for _ in range(max_iter):
+        for _ in range(ASCENT_MAX_ITER):
             g = 2.0 * scale * (p_ref * x.sum() - x)
             # termination is measured on the gradient of the y-form payoff
             gy = sq * g
             pg = np.where((x <= 0.0) & (gy < 0.0), 0.0, gy)
             pg = np.where((x >= sq) & (pg > 0.0), 0.0, pg)
-            if float(np.linalg.norm(pg)) < tol:
+            if float(np.linalg.norm(pg)) < ASCENT_TOL:
                 return x, q, True
             while True:
                 x_new = np.clip(x + step * g, 0.0, sq)
@@ -410,18 +413,16 @@ def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
     return (n, (p_fix - float(beta[n - 1])) / n) if n else (0, float(a[0]))
 
 
-def appendix_a_check(s: SchmidtSpectrum, trials: int = 10_000, seed: int = 0) -> bool:
+def appendix_a_check(s: SchmidtSpectrum, seed: int = 0) -> bool:
     """The payoff without a reference term is maximized by the identity.
 
-    Samples ``trials`` uniform box points and checks that
+    Samples ``APPENDIX_A_TRIALS`` uniform box points and checks that
     D/(D-1) * [p_s(y)^2 - sum a^4 y^2] never exceeds its value at y = 1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     sq = s.sq_coeffs
     scale = _scale(s.dim)
     rng = np.random.default_rng(seed)
-    ys = rng.uniform(size=(trials, s.dim))
+    ys = rng.uniform(size=(APPENDIX_A_TRIALS, s.dim))
     p = ys @ sq
     vals = scale * (p * p - (ys * ys) @ (sq * sq))
     at_identity = scale * _payoff(1.0, sq)
@@ -504,7 +505,7 @@ def _duality(s: SchmidtSpectrum, rng: np.random.Generator):
 
 
 def _identity_dominates(s: SchmidtSpectrum, rng: np.random.Generator):
-    return (float(not appendix_a_check(s, trials=10_000, seed=int(rng.integers(2**63)))),)
+    return (float(not appendix_a_check(s, seed=int(rng.integers(2**63)))),)
 
 
 def _offdiagonal_never_helps(s: SchmidtSpectrum, rng: np.random.Generator):
@@ -517,7 +518,7 @@ def _offdiagonal_never_helps(s: SchmidtSpectrum, rng: np.random.Generator):
 def _ascent_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
     ref = ReferenceLevel(s.dim, float(rng.uniform(1.0 / s.dim + 0.01, 1.0)))
     enum = enumerate_configurations(s, ref)
-    asc = numeric_qp_ascent(s, ref, restarts=8, tol=1e-12, seed=int(rng.integers(2**63)))
+    asc = numeric_qp_ascent(s, ref, restarts=8, seed=int(rng.integers(2**63)))
     return (abs(asc.best_q - enum.best_q) / max(abs(enum.best_q), 1e-300),)
 
 

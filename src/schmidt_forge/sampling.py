@@ -9,8 +9,6 @@ state carries a Schmidt number around D/2. Sampling is seeded per spectrum
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionTooLargeError
@@ -19,25 +17,6 @@ from .spectrum import SchmidtSpectrum
 #: largest sampled dimension: a draw holds D x D complex matrices (16 * D^2
 #: bytes each) and costs O(D^3), about 4 s at D = 2048 on two cores
 MAX_SAMPLE_DIM = 2048
-
-
-@dataclass(frozen=True)
-class SampleSpec:
-    """What to sample: dimension, base seed, number of spectra."""
-
-    dim: int
-    seed: int
-    count: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if self.dim > MAX_SAMPLE_DIM:
-            raise DimensionTooLargeError(f"dim={self.dim} above the cap {MAX_SAMPLE_DIM}")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
 
 
 def _one_spectrum(dim: int, seed: int) -> SchmidtSpectrum:
@@ -50,6 +29,15 @@ def _one_spectrum(dim: int, seed: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(dim, w)
 
 
-def sample_haar_spectrum(spec: SampleSpec) -> list[SchmidtSpectrum]:
-    """Draw ``spec.count`` spectra, deterministically in ``spec.seed``."""
-    return [_one_spectrum(spec.dim, spec.seed + i) for i in range(spec.count)]
+def sample_haar_spectrum(dim: int, seed: int, count: int) -> list[SchmidtSpectrum]:
+    """Draw ``count`` spectra of dimension ``dim``, the i-th from seed
+    ``seed + i``. The arguments are checked before anything is drawn."""
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if dim > MAX_SAMPLE_DIM:
+        raise DimensionTooLargeError(f"dim={dim} above the cap {MAX_SAMPLE_DIM}")
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit an unsigned 64-bit integer")
+    return [_one_spectrum(dim, seed + i) for i in range(count)]

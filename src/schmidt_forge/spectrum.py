@@ -114,14 +114,12 @@ class Measures:
     purity: float
 
 
-def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) -> SchmidtSpectrum:
-    """Validate and build a spectrum from raw coefficients.
+def make_spectrum(values, normalize: bool = False) -> SchmidtSpectrum:
+    """Validate and build a spectrum from raw squared coefficients a_m^2.
 
-    ``input_kind`` is ``"squared"`` (values are a_m^2) or ``"amplitudes"``
-    (values are a_m and get squared first). With ``normalize`` unset the
-    squared values must already sum to 1 within ``INGEST_TOL``; either way the
-    stored spectrum is rescaled to unit sum so downstream code sees exact
-    normalization.
+    With ``normalize`` unset the values must already sum to 1 within
+    ``INGEST_TOL``; either way the stored spectrum is rescaled to unit sum so
+    downstream code sees exact normalization.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -132,27 +130,23 @@ def make_spectrum(values, input_kind: str = "squared", normalize: bool = False) 
         raise NonFiniteEntryError("coefficients must be finite")
     if lo < 0.0:
         raise NegativeEntryError("coefficients must be nonnegative")
-    if input_kind not in ("squared", "amplitudes"):
-        raise ValueError(f"unknown input_kind {input_kind!r}")
     with np.errstate(over="ignore"):
-        squares = arr * arr if input_kind == "amplitudes" else arr
-        total = float(np.add.reduce(squares, axis=None))
+        total = float(np.add.reduce(arr, axis=None))
     if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
-        # the squares or their sum overflow, or underflow to a subnormal sum
-        # that has lost digits or to 0: divide by the largest entry first
+        # the sum overflows, or is subnormal and has lost digits: divide by
+        # the largest entry first
         arr = arr / hi
-        squares = arr * arr if input_kind == "amplitudes" else arr
-        total = float(np.add.reduce(squares, axis=None))
+        total = float(np.add.reduce(arr, axis=None))
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > INGEST_TOL:
         raise NotNormalizedError(
             f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
         )
-    _check_shape(squares.size, squares)
-    # the squares are finite and nonnegative with a positive finite sum, so
+    _check_shape(arr.size, arr)
+    # the values are finite and nonnegative with a positive finite sum, so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    return SchmidtSpectrum._adopt(int(squares.size), squares / total)
+    return SchmidtSpectrum._adopt(int(arr.size), arr / total)
 
 
 def measures(s: SchmidtSpectrum) -> Measures:

@@ -6,7 +6,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 
-from schmidt_forge import SampleSpec, make_spectrum, sample_haar_spectrum
+from schmidt_forge import make_spectrum, sample_haar_spectrum
 
 
 @st.composite
@@ -21,7 +21,7 @@ def spectra(draw, min_dim=2, max_dim=10, min_value=1e-3, zeros=False):
 
 
 def haar(dim: int, seed: int):
-    return sample_haar_spectrum(SampleSpec(dim=dim, seed=seed, count=1))[0]
+    return sample_haar_spectrum(dim, seed, 1)[0]
 
 
 def dirichlet_spectrum(rng: np.random.Generator, dim: int):

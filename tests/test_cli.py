@@ -220,12 +220,15 @@ class TestConcentrateCommand:
             sweep + ["lin:0.5:1"],
             sweep + ["lin:0:1:0"],
             ["sweep", "--dim", "4", "--mode", "efficiency", "--out", str(tmp_path / "x.csv")],
-            ["sample", "--dim", "1", "--seed", "0", "--count", "1",
-             "--out", str(tmp_path / "s")],
+            # the sampler refuses these before --out is made
+            ["sample", "--dim", "1", "--seed", "0", "--count", "1", "--out", str(tmp_path / "s")],
+            ["sample", "--dim", "4", "--seed", "0", "--count", "0", "--out", str(tmp_path / "s")],
+            ["sample", "--dim", "4", "--seed", "-1", "--count", "1", "--out", str(tmp_path / "s")],
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2, argv
+            assert not (tmp_path / "s").exists(), argv
 
 
 #: argv of each command that reads a spectrum file, then writes a file or stdout
@@ -644,3 +647,14 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
     assert {shlex.split(line)[1] for line in lines} == _subcommands()
+
+
+def test_readme_library_block_runs():
+    # README's Python block runs as written: a removed name or a drifted
+    # value cannot stay in the docs
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    names = {}
+    exec(block, names)
+    assert names["out"].p_success == 0.75
+    assert names["fixed"].post_measures.purity == pytest.approx(13 / 49, rel=1e-15)

@@ -45,21 +45,18 @@ class TestReferenceFrom:
         assert ref.p_ref == 1.0
 
     def test_views_mutually_consistent(self):
-        ref = reference_from("c_ref", 0.8, 5)
-        c_ref_sq = 5 / 4 * (1.0 - ref.p_ref)
+        ref = reference_from("c_ref_sq", 0.64, 5)
         k_ref = 1.0 / ref.p_ref
-        again = reference_from("c_ref_sq", c_ref_sq, 5)
-        assert again.p_ref == pytest.approx(ref.p_ref, abs=1e-15)
         assert reference_from("k_ref", k_ref, 5).p_ref == pytest.approx(
             ref.p_ref, abs=1e-15
         )
-        assert c_ref_sq == pytest.approx(0.64, abs=1e-15)
+        assert 5 / 4 * (1.0 - ref.p_ref) == pytest.approx(0.64, abs=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             reference_from("k_ref", 5.0, 4)  # k_ref > D
         with pytest.raises(OutOfRangeError):
-            reference_from("c_ref", 1.2, 4)
+            reference_from("c_ref_sq", 1.2, 4)
         with pytest.raises(OutOfRangeError):
             reference_from("p_ref", 0.1, 4)  # below 1/D
         with pytest.raises(OutOfRangeError):
@@ -69,7 +66,7 @@ class TestReferenceFrom:
 
     @pytest.mark.parametrize("dim", [-1, 0, 1])
     @pytest.mark.parametrize("kind, value", [
-        ("p_ref", 0.5), ("c_ref", 0.5), ("c_ref_sq", 0.5), ("k_ref", 1.0),
+        ("p_ref", 0.5), ("c_ref_sq", 0.5), ("k_ref", 1.0),
     ])
     def test_dimension_below_two(self, kind, value, dim):
         message = f"^dim={dim} below 2: a reference level needs dim >= 2$"
@@ -167,7 +164,7 @@ class TestOptimalPlan:
         # 6e-11 relative at D = 1048568; a view inside its slack past the
         # bound is the bound
         above_one = (1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-13)
-        views = [("c_ref", v) for v in above_one] + [("c_ref_sq", v) for v in above_one]
+        views = [("c_ref_sq", v) for v in above_one]
         views += [("k_ref", dim), ("k_ref", dim + 1e-13)]
         for kind, value in views:
             assert reference_from(kind, value, dim).is_standard_concentration

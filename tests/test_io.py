@@ -10,7 +10,6 @@ from schmidt_forge import (
     optimal_plan_efficiency,
     optimal_plan_fixed,
     sample_haar_spectrum,
-    SampleSpec,
 )
 from schmidt_forge.errors import IoError, ParseError, SchemaError
 from schmidt_forge import io
@@ -22,7 +21,7 @@ WORKED = [0.4, 0.3, 0.2, 0.1]
 
 class TestSpectrumRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        s = sample_haar_spectrum(SampleSpec(dim=16, seed=3, count=1))[0]
+        s = sample_haar_spectrum(16, 3, 1)[0]
         path = tmp_path / "s.json"
         io.write_spectrum(s, path)
         back = io.read_spectrum(path)

@@ -195,8 +195,6 @@ class TestNumericAscent:
         s = make_spectrum([0.5, 0.5])
         with pytest.raises(ValueError):
             numeric_qp_ascent(s, ReferenceLevel(2, 0.7), restarts=0)
-        with pytest.raises(ValueError):
-            numeric_qp_ascent(s, ReferenceLevel(2, 0.7), tol=0.0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
@@ -267,7 +265,7 @@ class TestAppendixA:
         for _ in range(10):
             d = int(rng.integers(2, 17))
             s = dirichlet_spectrum(rng, d)
-            assert appendix_a_check(s, trials=10_000, seed=int(rng.integers(2**63)))
+            assert appendix_a_check(s, seed=int(rng.integers(2**63)))
 
 
 class TestAppendixB:

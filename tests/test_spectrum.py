@@ -43,10 +43,6 @@ class TestMakeSpectrum:
         with pytest.raises(NotNormalizedError):
             make_spectrum([0.4, 0.3, 0.2, 0.2])
 
-    def test_amplitudes_are_squared(self):
-        s = make_spectrum([0.6, 0.8], input_kind="amplitudes")
-        assert np.allclose(s.sq_coeffs, [0.36, 0.64], atol=1e-15)
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             make_spectrum([])
@@ -76,25 +72,18 @@ class TestMakeSpectrum:
         with pytest.raises(NonFiniteEntryError):
             SchmidtSpectrum(3, np.array([bad, 0.5, 0.5]))
 
-    @pytest.mark.parametrize("values, input_kind", [
-        ([1e308, 1e308], "squared"),
-        ([1e200, 1e200], "amplitudes"),
-    ])
-    def test_overflowing_input_is_normalized(self, values, input_kind):
+    def test_overflowing_input_is_normalized(self):
+        values = [1e308, 1e308]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = make_spectrum(values, input_kind, normalize=True)
+            s = make_spectrum(values, normalize=True)
             with pytest.raises(NotNormalizedError, match="sum to inf"):
-                make_spectrum(values, input_kind)
+                make_spectrum(values)
         assert s.sq_coeffs.tolist() == [0.5, 0.5]
 
-    @pytest.mark.parametrize("values, input_kind, want", [
-        ([1e-200, 1e-200], "amplitudes", [0.5, 0.5]),  # the squares underflow to 0
-        ([1e-161, 2e-161], "amplitudes", [0.2, 0.8]),  # their sum is subnormal
-        ([5e-324, 5e-324], "squared", [0.5, 0.5]),
-    ])
-    def test_underflowing_input_is_normalized(self, values, input_kind, want):
-        assert make_spectrum(values, input_kind, normalize=True).sq_coeffs.tolist() == want
+    def test_underflowing_input_is_normalized(self):
+        # the sum is subnormal
+        assert make_spectrum([5e-324, 5e-324], normalize=True).sq_coeffs.tolist() == [0.5, 0.5]
 
     def test_zero_coefficients_admitted(self):
         s = make_spectrum([0.7, 0.3, 0.0])
@@ -203,10 +192,9 @@ class TestErrorPrecedence:
         ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
     ])
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("input_kind", ["squared", "amplitudes"])
-    def test_ingest(self, values, error, message, normalize, input_kind):
+    def test_ingest(self, values, error, message, normalize):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            make_spectrum(values, input_kind=input_kind, normalize=normalize)
+            make_spectrum(values, normalize=normalize)
 
     @pytest.mark.parametrize("dim, values, message", [
         (4, np.full((2, 2), 0.25), "coefficients must be a 1-D array, not shape (2, 2)"),
@@ -328,8 +316,6 @@ class TestDerivedSpectra:
             make_spectrum(sq),
             make_spectrum(sq * (1.0 + 5e-10)),  # off by less than INGEST_TOL
             make_spectrum(sq * scale, normalize=True),
-            make_spectrum(np.sqrt(sq), "amplitudes"),
-            make_spectrum(np.sqrt(sq) * scale, "amplitudes", normalize=True),
             make_spectrum([1e308, 1e308], normalize=True),
         ):
             SchmidtSpectrum(t.dim, np.array(t.sq_coeffs))
