@@ -21,7 +21,7 @@ from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .sampling import MAX_SAMPLE_DIM, sample_haar_spectrum
+from .sampling import MAX_SAMPLE_DIM, _draws, sample_haar_spectrum
 from .spectrum import SchmidtSpectrum, measures
 from .sweep import sweep_table
 
@@ -100,8 +100,8 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    # drawn before --out is made, so a refused argument writes nothing
-    spectra = sample_haar_spectrum(args.dim, args.seed, args.count)
+    # checked now, drawn once --out exists: bad arguments write nothing, a bad --out draws nothing
+    spectra = _draws(args.dim, args.seed, args.count)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,8 @@ the orthotope 0 <= x_m <= a_m^2, and L solves L = P_ref * sum_m min(a_m^2, L).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,36 +101,40 @@ def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
 class ConcentrationPlan:
     """A diagonal filtering plan, fixed by one water level.
 
-    ``y`` holds the squared Kraus weights (original index order) and
-    ``x = a^2 * y`` the unnormalized post-concentration coefficients, so
-    x_m = min(a_m^2, ``crop_level``) <= a_m^2. ``n_opt`` counts the cut
-    coefficients: whenever n_opt > 0 the crop is {m : a_m^2 >= ``crop_level``},
-    where y_m = crop_level / a_m^2, and y_m = 1 elsewhere. The identity plan
-    has n_opt = 0, y = 1 and the level max a^2.
+    ``x`` holds the unnormalized post-concentration coefficients of the
+    spectrum ``sq_coeffs`` = a^2, in its index order: x_m = min(a_m^2, L) for
+    L = ``crop_level``, exactly L on the crop {m : a_m^2 >= L} and a^2 off it.
+    ``n_opt`` counts the cut coefficients. The identity plan has n_opt = 0,
+    x = a^2 and L = max a^2; each spectrum makes it once, for both planners.
     """
 
-    y: np.ndarray
     x: np.ndarray
     n_opt: int
     crop_level: float
+    sq_coeffs: np.ndarray
 
     @classmethod
-    def _adopt(cls, y: np.ndarray, x: np.ndarray, n_opt: int, crop_level: float):
-        """A plan of arrays this package has just made, stored as given: it
-        skips ``__init__`` and ``__post_init__``, so nothing is copied, and
-        ``y`` and ``x`` are made read-only in place."""
+    def _adopt(cls, x: np.ndarray, n_opt: int, crop_level: float, sq_coeffs: np.ndarray):
+        """A plan of a new ``x`` on a spectrum's a^2, stored as given, x read-only."""
         plan = object.__new__(cls)
-        y.setflags(write=False)
         x.setflags(write=False)
-        object.__setattr__(plan, "y", y)
         object.__setattr__(plan, "x", x)
         object.__setattr__(plan, "n_opt", n_opt)
         object.__setattr__(plan, "crop_level", crop_level)
+        object.__setattr__(plan, "sq_coeffs", sq_coeffs)
         return plan
 
     def __post_init__(self):
-        for name in ("y", "x"):
+        for name in ("x", "sq_coeffs"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name)))
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        """The squared Kraus weights x / a^2 (1 where a^2 = 0), made on first
+        read: on a level plan, the bytes of L / max(a^2, L), zeros included."""
+        y = _y_of(self.x, self.sq_coeffs)
+        y.setflags(write=False)
+        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,22 +157,22 @@ def _scale(dim: int) -> float:
     return dim / (dim - 1.0)
 
 
+def _y_of(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The box point y = x / a^2 of coefficients x, with y = 1 where a^2 = 0."""
+    return np.divide(x, sq, out=np.ones(sq.size), where=sq > 0.0)
+
+
 def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     """The plan that cuts the ``n`` coefficients a^2 >= ``level`` down to it."""
     if not level > 0.0:
-        # with L > 0 every cut coefficient keeps x = a^2 * (L / a^2) > 0, so
-        # p_success > 0 and the post spectrum x / p_success is valid
+        # with L > 0 every cut coefficient keeps x = L > 0, so p_success > 0
+        # and the post spectrum x / p_success is valid
         raise InfeasibleError(
             "the water level underflows to 0: no plan with positive "
             "success probability can be computed"
         )
     sq = s.sq_coeffs
-    # on the crop a^2 >= L, max(a^2, L) = a^2 and y is the division L / a^2 <= 1,
-    # so x = a^2 * y never exceeds a^2; elsewhere, zeros and -0.0 included, y is
-    # L / L, exactly 1.0 because every level is finite and positive
-    y = np.maximum(sq, level)
-    np.divide(level, y, out=y)
-    return ConcentrationPlan._adopt(y, sq * y, n, float(level))
+    return ConcentrationPlan._adopt(np.minimum(sq, level), n, float(level), sq)
 
 
 def _outcome_from_plan(
@@ -178,6 +183,16 @@ def _outcome_from_plan(
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
     post = SchmidtSpectrum._adopt(s.dim, plan.x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
+
+
+def _identity(s: SchmidtSpectrum) -> tuple[ConcentrationOutcome, float]:
+    """The identity outcome (q_value None) and sum a^4, shared by every plan that keeps
+    the state: made once per spectrum, kept in its instance dict as cached properties are."""
+    cache, sq = s.__dict__, s.sq_coeffs
+    if "_identity" not in cache:
+        plan = _level_plan(s, s.max_sq, 0)
+        cache["_identity"] = _outcome_from_plan(s, plan, None), float(sq @ sq)
+    return cache["_identity"]
 
 
 def _newton_level(p_ref: float, beta: float, n: int) -> float:
@@ -247,21 +262,19 @@ def _efficiency_level(
 
 
 class _Sweep:
-    """What the points of one efficiency sweep over a spectrum share.
+    """The frontier an efficiency sweep's points share.
 
     Of the spectrum's frontier it keeps the descending a_n^2 and -r_n, where
     r_n = a_n^2 / p_n (0 where p_n = 0) decreases with n: a reference
     between 1/D and max a^2 crops the n with r_n >= P_ref, so its level
-    search starts on the piece [a_{n+1}^2, a_n^2]. The identity outcome and
-    sum a^4 are made by the first reference at or above max a^2; every
-    later one only gets its own q.
+    search starts on the piece [a_{n+1}^2, a_n^2]. References at or above
+    max a^2 take the spectrum's own identity outcome, as single plans do.
     """
 
     def __init__(self, s: SchmidtSpectrum):
         a, _, p = frontier(s)
         r = np.divide(a, p, out=np.zeros_like(a), where=p > 0.0)
         self.a, self.neg_r = a, np.negative(r, out=r)
-        self.identity = None
 
     def crop_count(self, p_ref: float) -> int:
         """The frontier's crop count at ``p_ref``: #{r_n >= P_ref}."""
@@ -271,14 +284,6 @@ class _Sweep:
         """The frontier's piece at ``p_ref``: a_n^2 and a_{n+1}^2."""
         n = self.crop_count(p_ref)
         return (float(self.a[n - 1]), float(self.a[n])) if 0 < n < self.a.size else None
-
-    def identity_outcome(self, s: SchmidtSpectrum, p_ref: float) -> ConcentrationOutcome:
-        if self.identity is None:
-            sq = s.sq_coeffs
-            plan = _level_plan(s, s.max_sq, 0)
-            self.identity = _outcome_from_plan(s, plan, None), float(sq @ sq)
-        outcome, sum_sq = self.identity
-        return replace(outcome, q_value=_scale(s.dim) * (p_ref - sum_sq))
 
 
 def optimal_plan_efficiency(
@@ -299,12 +304,10 @@ def optimal_plan_efficiency(
     coefficients.
 
     ``_sweep`` is private to :func:`schmidt_forge.sweep.sweep_table`: the
-    state its points share, which changes no byte of the outcome.
+    frontier its points share, which changes no byte of the outcome.
     """
     if s.dim != ref.dim:
-        raise DimensionMismatchError(
-            f"spectrum dim {s.dim} != reference dim {ref.dim}"
-        )
+        raise DimensionMismatchError(f"spectrum dim {s.dim} != reference dim {ref.dim}")
     d = s.dim
     p_ref = ref.p_ref
 
@@ -328,15 +331,13 @@ def optimal_plan_efficiency(
             "positive success probability reaches the reference entanglement"
         )
 
-    sq = s.sq_coeffs
     top = s.max_sq
     if p_ref >= top:
-        if _sweep is not None:
-            return _sweep.identity_outcome(s, p_ref)
-        identity = _level_plan(s, top, 0)
-        return _outcome_from_plan(s, identity, _scale(d) * (p_ref - float(sq @ sq)))
+        o, sum_sq = _identity(s)
+        return ConcentrationOutcome(o.plan, o.p_success, o.post_spectrum, o.post_measures,
+                                    _scale(d) * (p_ref - sum_sq))
 
     piece = None if _sweep is None else _sweep.piece(p_ref)
-    level, n, rest, beta = _efficiency_level(sq, p_ref, top, piece)
+    level, n, rest, beta = _efficiency_level(s.sq_coeffs, p_ref, top, piece)
     q = _scale(d) * (level * beta - float(rest @ rest))
     return _outcome_from_plan(s, _level_plan(s, level, n), q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import FEAS_TOL, ConcentrationOutcome, _level_plan, _outcome_from_plan
+from .efficiency import FEAS_TOL, ConcentrationOutcome, _identity, _level_plan, _outcome_from_plan
 from .errors import PFixOutOfRangeError
 from .spectrum import SchmidtSpectrum
 
@@ -71,7 +71,5 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
             "the first water level p_fix / dim underflows to 0"
         )
     if p_fix >= s.total:
-        plan = _level_plan(s, s.max_sq, 0)
-    else:
-        plan = _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix))
-    return _outcome_from_plan(s, plan, None)
+        return _identity(s)[0]
+    return _outcome_from_plan(s, _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix)), None)

@@ -47,6 +47,7 @@ from .efficiency import (
     ConcentrationPlan,
     ReferenceLevel,
     _scale,
+    _y_of,
     optimal_plan_efficiency,
 )
 from .errors import (
@@ -126,11 +127,6 @@ def _payoff(p_ref: float, x: np.ndarray) -> float:
     """Unscaled efficiency payoff P_ref * (sum x)^2 - sum x^2 at x = a^2 * y."""
     total = float(np.add.reduce(x))
     return p_ref * total * total - float(x @ x)
-
-
-def _y_of(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """The box point y = x / a^2 of coefficients x, with y = 1 where a^2 = 0."""
-    return np.divide(x, sq, out=np.ones(sq.size), where=sq > 0.0)
 
 
 def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:

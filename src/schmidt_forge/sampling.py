@@ -29,9 +29,8 @@ def _one_spectrum(dim: int, seed: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(dim, w)
 
 
-def sample_haar_spectrum(dim: int, seed: int, count: int) -> list[SchmidtSpectrum]:
-    """Draw ``count`` spectra of dimension ``dim``, the i-th from seed
-    ``seed + i``. The arguments are checked before anything is drawn."""
+def _draws(dim: int, seed: int, count: int):
+    """Check :func:`sample_haar_spectrum`'s arguments; return its draws, made as they are read."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if dim > MAX_SAMPLE_DIM:
@@ -40,4 +39,10 @@ def sample_haar_spectrum(dim: int, seed: int, count: int) -> list[SchmidtSpectru
         raise ValueError("count must be >= 1")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
-    return [_one_spectrum(dim, seed + i) for i in range(count)]
+    return (_one_spectrum(dim, seed + i) for i in range(count))
+
+
+def sample_haar_spectrum(dim: int, seed: int, count: int) -> list[SchmidtSpectrum]:
+    """Draw ``count`` spectra of dimension ``dim``, the i-th from seed
+    ``seed + i``. The arguments are checked before anything is drawn."""
+    return list(_draws(dim, seed, count))

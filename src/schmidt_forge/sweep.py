@@ -8,8 +8,8 @@ Every point goes through its planner's checks and plan assembly, so each
 row, and each error, is the single-point call's. An efficiency sweep shares
 one frontier of the spectrum between its points: a sort, then O(D) extra
 memory for the sorted coefficients and their breakpoints, which start each
-point's level search on its own crop. It also shares one identity outcome,
-made by the first reference at or above max a^2.
+point's level search on its own crop. Points that keep the state take the
+spectrum's identity outcome, made once per spectrum as for single plans.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def sweep_table(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[li
     """The sweep table of ``mode`` ("efficiency", "fixedprob" or "interp"):
     its header and one row per grid value, in grid order. Points are made one
     at a time, so only one plan or interpolated spectrum is alive at once,
-    besides an efficiency sweep's frontier and identity outcome."""
+    besides an efficiency sweep's frontier and the spectrum's identity."""
     if mode not in ("efficiency", "fixedprob", "interp"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     if mode == "interp":

@@ -40,6 +40,18 @@ def case_spectrum(case):
     return make_spectrum(case)
 
 
+def assert_level_plan(plan, sq: np.ndarray) -> None:
+    """The plan is its level: x is exactly ``crop_level`` on the crop
+    a^2 >= L and a^2 (bit for bit) off it, y has the bytes of
+    L / max(a^2, L), and a^2 * y lies within 1 ulp of x."""
+    level = plan.crop_level
+    crop = sq >= level
+    assert np.all(plan.x[crop] == level)
+    assert plan.x[~crop].tobytes() == sq[~crop].tobytes()
+    assert plan.y.tobytes() == (level / np.maximum(sq, level)).tobytes()
+    assert np.all(np.abs(sq * plan.y - plan.x) <= np.spacing(np.abs(plan.x)))
+
+
 def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0, top: float = 1.0):
     """Uniform reference purity in [1/D + margin * span, 1/D + top * span],
     where span = 1 - 1/D."""

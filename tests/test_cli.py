@@ -21,6 +21,7 @@ from schmidt_forge import (
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
+    sampling,
     sweep_table,
 )
 from schmidt_forge.cli import MAX_GRID_POINTS, build_parser, main, parse_grid
@@ -117,6 +118,19 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("IoError: ") and str(out) in err
         assert out.read_text() == "kept"
+
+    def test_out_error_comes_before_the_first_draw(self, tmp_path, capsys, monkeypatch):
+        # --out is made before the first spectrum is drawn
+        (tmp_path / "taken").write_text("kept")
+        draws = []
+        draw = sampling._one_spectrum
+        monkeypatch.setattr(sampling, "_one_spectrum", lambda *a: draws.append(a) or draw(*a))
+        argv = ["sample", "--dim", "4", "--seed", "0", "--count", "3", "--out"]
+        assert main(argv + [str(tmp_path / "taken")]) == 1
+        assert "IoError" in capsys.readouterr().err
+        assert draws == []
+        assert main(argv + [str(tmp_path / "s")]) == 0
+        assert draws == [(4, 0), (4, 1), (4, 2)]
 
 
 class TestConcentrateCommand:

@@ -26,7 +26,15 @@ from schmidt_forge.errors import (
 )
 from schmidt_forge.oracle import prefix_scan_efficiency
 
-from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, haar, random_reference, spectra
+from helpers import (
+    BOUNDARY_CASES,
+    assert_level_plan,
+    case_spectrum,
+    dirichlet_spectrum,
+    haar,
+    random_reference,
+    spectra,
+)
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -282,10 +290,10 @@ class TestApplyPlan:
         s = make_spectrum(WORKED)
         base = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3)).plan
         plan = type(base)(
-            y=np.array([0.5, 2 / 3, 1.0, 1.0]),
             x=s.sq_coeffs * [0.5, 2 / 3, 1.0, 1.0],
             n_opt=3,
             crop_level=0.2,
+            sq_coeffs=s.sq_coeffs,
         )
         out = apply_plan(s, plan)
         assert out.p_success == pytest.approx(0.7, abs=1e-12)
@@ -316,11 +324,10 @@ class TestPlanInvariants:
         # box and no zeros
         assert np.all(plan.y > 0.0)
         assert np.all(plan.y <= 1.0 + 1e-12)
-        # x = a^2 * y exactly, never above a^2, and the global cap form
-        # x = min(a^2, crop_level)
-        assert np.array_equal(plan.x, sq * plan.y)
+        # x = min(a^2, crop_level) exactly, never above a^2, and a^2 * y = x
+        # to 1 ulp
+        assert_level_plan(plan, sq)
         assert np.all(plan.x <= sq)
-        assert np.allclose(plan.x, np.minimum(sq, plan.crop_level), atol=1e-11)
         # cropped set = the n_opt largest under the stable descending sort
         _, perm = sort_descending(s)
         if plan.n_opt > 0:
@@ -342,6 +349,27 @@ class TestPlanInvariants:
         definition = out.p_success**2 * (out.post_measures.concurrence_sq - c_ref_sq)
         assert out.q_value == pytest.approx(definition, abs=1e-10)
         assert out.q_value >= -1e-15
+
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.25, 0.5]) | st.floats(1e-3, 1.0),
+                 min_size=2, max_size=10).filter(lambda v: max(v) > 0.0),
+        st.floats(0.0, 1.0),
+    )
+    @example([0.5, -0.0, 0.0, 0.5, 5e-324], 0.3)
+    @example([0.7, 0.29, 0.01], 0.0)  # a^2 * (a_min^2 / a^2) rounds away from a_min^2
+    @example([1.0, 5e-324, 1e-310, 1e-310], 1e-310)  # subnormal levels and weights
+    @example([0.25, 0.25, 0.25, 0.125, 0.125], 0.5)  # ties at the level
+    def test_x_is_the_level_on_the_crop_and_y_keeps_its_bytes(self, values, u):
+        s = make_spectrum(values, normalize=True)
+        d = s.dim
+        outs = []
+        p_ref = 1.0 / d + u * (1.0 - 1.0 / d)
+        if s.rank == d or p_ref >= 1.0 / s.rank:
+            outs.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)))
+        if u / d > 0.0:
+            outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
+        for out in outs:
+            assert_level_plan(out.plan, s.sq_coeffs)
 
     @given(spectra(max_dim=10, zeros=True), st.floats(0.0, 1.0))
     @example(make_spectrum([0.5, -0.0, 0.0, 0.5]), 0.3)

@@ -28,6 +28,7 @@ from schmidt_forge import (
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
+    sweep_table,
 )
 from schmidt_forge.cli import main
 
@@ -56,10 +57,10 @@ GOLDEN = {
 #: plan vectors of seeded non-dyadic D = 2^12 spectra; a plan's y, x, post
 #: spectrum and p_success use no BLAS call, so these hold for any thread count
 PLAN_DIGESTS = {
-    "efficiency-positive": "c9091b4c15d6a848735a5eab4e73b054a38ebe0cbb6ab46a7e290f52b9f95340",
-    "efficiency-sparse": "5c4ffd3114e78e464cd76f903061bde9428d5ec8bfac2849a5da47f3981e7893",
-    "fixed-positive": "f05e8b1952cd3278651855797790d3c62b4f89b426f7206ed7a24b9bab29fd92",
-    "fixed-sparse": "2430cac1c93f26a9078e3d1d4df76ba0c153a1b70e255942e1becbea767b25f8",
+    "efficiency-positive": "d22b50b4bdf186442994278f25eb8f76f7281d598062612e813058f794623b63",
+    "efficiency-sparse": "f569ace8ecb9ae3396163cf4fe6adc8a3b6c2404c503ead14332f6e86025afcc",
+    "fixed-positive": "d2deaa69288b47c4fae91bf5d84bfdd119fb4636becd602c80dae338eb8f63a2",
+    "fixed-sparse": "f3ea911ef64630896d1d785ef45c5eeedf7bbd5a137315c4183ed2d4bd79779d",
 }
 
 NON_FINITE = (
@@ -182,6 +183,33 @@ def test_plan_vectors_match_digest(name):
         fixes = [1e-9, 1.0 / d, 0.01, 0.3, 0.9, float(np.add.reduce(s.sq_coeffs)), 1.0]
         outs = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
     assert _plan_digest(outs) == PLAN_DIGESTS[name]
+
+
+#: outcome JSON of the identity plans on SMALL and SIGNED_ZERO, at P_ref =
+#: max a^2, 0.75 and 1 and at p_fix = sum a^2 and 1, taken while every call
+#: still made its own identity outcome
+IDENTITY_DIGEST = "c6378ccf9e5cb1b230fdbcab7d921c3958434c26c89dc006fa018eff4c1576e6"
+
+
+def test_one_identity_outcome_per_spectrum():
+    h = hashlib.sha256()
+    for values in (SMALL, SIGNED_ZERO):
+        s = make_spectrum(values)
+        refs, fixes = [s.max_sq, 0.75, 1.0], [s.total, 1.0]
+        effs = [optimal_plan_efficiency(s, ReferenceLevel(s.dim, p)) for p in refs]
+        fixed = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
+        assert len({id(o.post_spectrum) for o in effs + fixed}) == 1
+        assert len({o.q_value for o in effs}) == 3
+        assert {o.q_value for o in fixed} == {None}
+        for mode, grid, outs in (("efficiency", refs, effs), ("fixedprob", fixes, fixed)):
+            for p, o in zip(grid, outs):
+                h.update("".join(io.json_pieces(io.outcome_dict(o, mode, p))).encode())
+            m = [o.post_measures for o in outs]
+            rows = [[p, o.plan.n_opt, o.p_success, k.purity, k.schmidt_number,
+                     k.concurrence_sq, o.q_value] for p, o, k in zip(grid, outs, m)]
+            _, swept = sweep_table(s, mode, grid)
+            assert swept == [row[: len(swept[0])] for row in rows]
+    assert h.hexdigest() == IDENTITY_DIGEST
 
 
 def test_non_finite_floats_render_null(tmp_path):

@@ -41,6 +41,7 @@ from schmidt_forge.oracle import (
 
 from helpers import (
     BOUNDARY_CASES,
+    assert_level_plan,
     case_spectrum,
     dirichlet_spectrum,
     inject_fault,
@@ -382,7 +383,7 @@ class TestPrefixScanAtScale:
         assert abs(plan.crop_level - level_scan) <= 1e-12 * level_scan
         assert plan.n_opt == np.count_nonzero(sq >= plan.crop_level)
         assert np.all(plan.x <= sq)
-        assert np.array_equal(plan.x, sq * plan.y)
+        assert_level_plan(plan, sq)
 
     @pytest.mark.parametrize("k_ref", [1.05, 1.5, 4.0])
     def test_efficiency(self, spectrum, k_ref):

@@ -231,11 +231,11 @@ class TestImmutability:
         owner.setflags(write=False)
         built = [SchmidtSpectrum(2, values), SchmidtSpectrum(2, view), make_spectrum(values),
                  SchmidtSpectrum(2, owner)]
-        plan = ConcentrationPlan(y=owner, x=owner, n_opt=0, crop_level=0.75)
+        plan = ConcentrationPlan(x=owner, n_opt=0, crop_level=0.75, sq_coeffs=owner)
         owner.setflags(write=True)
         values[:] = owner[:] = [0.5, 0.5]
         assert values.flags.writeable
-        for stored in [s.sq_coeffs for s in built] + [plan.y, plan.x]:
+        for stored in [s.sq_coeffs for s in built] + [plan.x, plan.sq_coeffs]:
             assert stored.tolist() == [0.25, 0.75]
             assert not stored.flags.writeable
 
