@@ -21,8 +21,8 @@ from . import io
 from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
-from .sampling import MAX_SAMPLE_DIM, _draws, sample_haar_spectrum
-from .spectrum import SchmidtSpectrum, measures
+from .sampling import MAX_SAMPLE_DIM, _draws
+from .spectrum import measures
 from .sweep import sweep_table
 
 #: the grid option each sweep mode reads
@@ -30,14 +30,6 @@ SWEEP_GRID_OPTIONS = {"efficiency": "pref_grid", "fixedprob": "pfix_grid", "inte
 #: most points of a log: or lin: grid; each point is a row of the sweep table,
 #: and a larger count is a usage error before any array is made
 MAX_GRID_POINTS = 100_000
-
-
-def positive_int(text: str) -> int:
-    """An option value that counts something: an integer of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
 
 
 def _grid_token(token: str, dim: int) -> float:
@@ -136,22 +128,10 @@ def _cmd_fixedp(args) -> int:
     return 0
 
 
-def _load_sweep_spectrum(args) -> SchmidtSpectrum:
-    if args.spectrum:
-        return io.read_spectrum(args.spectrum)
-    return sample_haar_spectrum(args.dim, args.seed, 1)[0]
-
-
 def _cmd_sweep(args) -> int:
-    s = _load_sweep_spectrum(args)
+    s = io.read_spectrum(args.spectrum)
     grid_text = getattr(args, SWEEP_GRID_OPTIONS[args.mode])
-    header, rows = sweep_table(s, args.mode, parse_grid(grid_text, s.dim).tolist())
-    if args.format == "csv":
-        io.write_csv(args.out, header, rows)
-    else:
-        io.write_json(
-            {"mode": args.mode, "rows": [dict(zip(header, r)) for r in rows]}, args.out
-        )
+    io.write_csv(args.out, *sweep_table(s, args.mode, parse_grid(grid_text, s.dim).tolist()))
     return 0
 
 
@@ -204,18 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_fixedp)
 
-    p = sub.add_parser("sweep", help="sweep a reference grid, write a table")
-    p.add_argument("--spectrum", default=None)
-    p.add_argument(
-        "--dim", type=int, default=None,
-        help=f"sample a spectrum instead of reading one (at most {MAX_SAMPLE_DIM})",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("sweep", help="sweep a reference grid, write a CSV table")
+    p.add_argument("--spectrum", required=True)
     p.add_argument("--mode", choices=("efficiency", "fixedprob", "interp"), required=True)
     p.add_argument("--pref-grid", default=None, help="log:a:b:n | lin:a:b:n | v1,v2,...")
     p.add_argument("--pfix-grid", default=None)
     p.add_argument("--xi-grid", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sweep)
 
@@ -225,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"largest dimension of the random instances (at least {MIN_VALIDATION_DIM}; "
              f"capped at {MAX_ENUM_DIM})",
     )
-    p.add_argument("--instances", type=positive_int, default=500)
+    p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
 
@@ -236,15 +210,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sweep":
-        if bool(args.spectrum) == (args.dim is not None):
-            parser.error("sweep needs exactly one of --spectrum or --dim")
         option = SWEEP_GRID_OPTIONS[args.mode]
         if getattr(args, option) is None:
             parser.error(f"sweep --mode {args.mode} needs --{option.replace('_', '-')}")
-    if args.command == "validate" and args.dim_max < MIN_VALIDATION_DIM:
-        parser.error(
-            f"validate --dim-max must be at least {MIN_VALIDATION_DIM}, got {args.dim_max}"
-        )
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -259,7 +227,7 @@ def main(argv=None) -> int:
     except SchmidtForgeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a malformed option value, e.g. a grid or sample size
+    except ValueError as exc:  # a malformed option value, e.g. a grid or a count
         parser.error(str(exc))
 
 

@@ -1,13 +1,15 @@
 """File formats: spectrum JSON, outcome JSON, sweep CSV.
 
 Floats are written as ``"%.17g"`` writes them: 17 significant digits, which
-round-trips IEEE doubles exactly, so rereading a written file reproduces the
-values bit for bit. Non-finite floats are written as ``null``, and ``-0.0``
-as ``-0``. JSON is written as a stream: a float array goes out in chunks of
-``FLOAT_CHUNK`` values, so the text of a D-long outcome or spectrum is never
-held in memory at once. Each distinct bit pattern in a chunk is printed once:
-an optimal plan's y is 1 on every uncropped coefficient, and its
-post-selected spectrum takes only a few values on the cropped ones.
+round-trips IEEE doubles exactly, so the text holds the values bit for bit.
+``read_spectrum`` divides the values it parses by their sum again, which can
+move a value whose float sum is not exactly 1 by a few ulps. Non-finite
+floats are written as ``null``, and ``-0.0`` as ``-0``. JSON is written as a
+stream: a float array goes out in chunks of ``FLOAT_CHUNK`` values, so the
+text of a D-long outcome or spectrum is never held in memory at once. Each
+distinct bit pattern in a chunk is printed once: an optimal plan's y is 1 on
+every uncropped coefficient, and its post-selected spectrum takes only a few
+values on the cropped ones.
 
 One numpy kernel prints the float arrays, with no Python call per value (the
 idea of Loitsch, PLDI 2010, and of Adams's Ryu, PLDI 2018); a float outside
@@ -193,7 +195,9 @@ def json_pieces(value):
     """Yield the JSON text of ``value`` in pieces, with fixed float
     formatting and dict key order kept. Joined, the pieces are the whole
     text; a 1-D float array comes as one piece per ``FLOAT_CHUNK`` values,
-    printed by the kernel, and a float outside an array by ``"%.17g"``."""
+    printed by the kernel, and a float outside an array by ``"%.17g"``.
+    Only what the package writes is serialized: dicts, 1-D float arrays,
+    ints, floats and None; anything else, a bool included, is a TypeError."""
     if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
         floats = np.asarray(value, dtype=float)
         yield "["
@@ -206,18 +210,11 @@ def json_pieces(value):
             yield f"{', ' if i else ''}{json.dumps(k)}: "
             yield from json_pieces(v)
         yield "}"
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        yield "["
-        for i, v in enumerate(value):
-            if i:
-                yield ", "
-            yield from json_pieces(v)
-        yield "]"
-    elif isinstance(value, (bool, str)) or value is None:
-        yield json.dumps(value)
-    elif isinstance(value, (int, np.integer)):
+    elif value is None:
+        yield "null"
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         yield str(int(value))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float):
         yield "%.17g" % value if math.isfinite(value) else "null"
     else:
         raise TypeError(f"cannot serialize {type(value)!r}")

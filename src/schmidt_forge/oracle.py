@@ -58,7 +58,6 @@ from .errors import (
     DivisionByZeroGuardError,
     InfeasibleError,
     NotPSDError,
-    OutOfRangeError,
     SchmidtForgeError,
     SpectralBoundViolatedError,
     YOutOfBoxError,
@@ -539,13 +538,14 @@ _SUITES = (
 def run_validation(dim_max: int = 10, instances: int = 500, seed: int = 0) -> list[ValidationResult]:
     """Run the oracle suites against the planners on random instances: one
     generator, seeded with ``seed``, draws each instance's D, the seed of its
-    Haar spectrum and then what the suite's check draws."""
+    Haar spectrum and then what the suite's check draws. A ``dim_max`` below
+    ``MIN_VALIDATION_DIM`` or ``instances`` below 1 is a ValueError."""
     if dim_max < MIN_VALIDATION_DIM:
-        raise OutOfRangeError(
+        raise ValueError(
             f"dim_max must be at least MIN_VALIDATION_DIM = {MIN_VALIDATION_DIM}, got {dim_max}"
         )
     if instances < 1:
-        raise OutOfRangeError(f"instances must be at least 1, got {instances}")
+        raise ValueError(f"instances must be at least 1, got {instances}")
     dim_max = min(dim_max, MAX_ENUM_DIM)
     rng = np.random.default_rng(seed)
     results: list[ValidationResult] = []

@@ -60,11 +60,11 @@ class TestGridParsing:
         with pytest.raises(ValueError, match=f"grid needs 1 to {MAX_GRID_POINTS} points"):
             parse_grid(f"{kind}:0.2:1:{MAX_GRID_POINTS + 1}", 8)
 
-    def test_count_above_the_cap_is_a_usage_error(self, tmp_path, capsys):
+    def test_count_above_the_cap_is_a_usage_error(self, worked_spectrum, tmp_path, capsys):
         # rejected before any array is made, and before the output is written
         out = tmp_path / "sweep.csv"
         with pytest.raises(SystemExit) as err:
-            main(["sweep", "--dim", "8", "--seed", "0", "--mode", "efficiency",
+            main(["sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
                   "--pref-grid", f"lin:0.2:1:{MAX_GRID_POINTS + 1}", "--out", str(out)])
         assert err.value.code == 2
         captured = capsys.readouterr().err
@@ -105,10 +105,7 @@ class TestSampleCommand:
         assert main(["sample", "--dim", too_big, "--seed", "0", "--count", "1",
                      "--out", str(out)]) == 1
         assert not out.exists()
-        assert main(["sweep", "--dim", too_big, "--mode", "interp", "--xi-grid", "0.5",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-        assert not (tmp_path / "x.csv").exists()
-        assert capsys.readouterr().err.count("DimensionTooLargeError") == 2
+        assert capsys.readouterr().err.count("DimensionTooLargeError") == 1
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -233,7 +230,8 @@ class TestConcentrateCommand:
             sweep + ["lin:-1e308:1e308:3"],
             sweep + ["lin:0.5:1"],
             sweep + ["lin:0:1:0"],
-            ["sweep", "--dim", "4", "--mode", "efficiency", "--out", str(tmp_path / "x.csv")],
+            ["sweep", "--spectrum", str(worked_spectrum), "--mode", "efficiency",
+             "--out", str(tmp_path / "x.csv")],
             # the sampler refuses these before --out is made
             ["sample", "--dim", "1", "--seed", "0", "--count", "1", "--out", str(tmp_path / "s")],
             ["sample", "--dim", "4", "--seed", "0", "--count", "0", "--out", str(tmp_path / "s")],
@@ -426,38 +424,9 @@ class TestSweepCommand:
         assert rows[0][0] == 0.0 and rows[0][1] == 1.0
         assert rows[-1][1] == pytest.approx(0.4, abs=1e-12)
 
-    def test_interp_mode_json_format(self, worked_spectrum, tmp_path):
-        out = tmp_path / "interp.json"
-        assert main([
-            "sweep", "--spectrum", str(worked_spectrum), "--mode", "interp",
-            "--xi-grid", "lin:0:1:5", "--format", "json", "--out", str(out),
-        ]) == 0
-        data = json.loads(out.read_text())
-        assert data["mode"] == "interp"
-        assert len(data["rows"]) == 5
-        assert data["rows"][0]["p_success"] == 1.0
-
-    def test_sampled_spectrum_source(self, tmp_path):
-        out = tmp_path / "s.csv"
-        assert main([
-            "sweep", "--dim", "8", "--seed", "3", "--mode", "efficiency",
-            "--pref-grid", "lin:0.2:0.9:5", "--out", str(out),
-        ]) == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 5
-
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep mode 'efficency'"):
             sweep_table(make_spectrum(WORKED), "efficency", [0.3])
-
-    def test_requires_exactly_one_source(self, worked_spectrum):
-        with pytest.raises(SystemExit) as err:
-            main([
-                "sweep", "--spectrum", str(worked_spectrum), "--dim", "4",
-                "--mode", "efficiency", "--pref-grid", "lin:0.3:0.9:3",
-                "--out", "x.csv",
-            ])
-        assert err.value.code == 2
 
 
 class TestValidateCommand:
@@ -482,7 +451,9 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as err:
             main(["validate", "--dim-max", "2"])
         assert err.value.code == 2
-        assert "--dim-max must be at least 3" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "dim_max must be at least MIN_VALIDATION_DIM = 3, got 2" in captured.err
+        assert captured.out == ""
         with pytest.raises(SystemExit):
             main(["validate", "--help"])
         assert "at least 3" in capsys.readouterr().out
@@ -493,8 +464,8 @@ class TestValidateCommand:
             main(["validate", "--dim-max", "5", "--instances", instances])
         assert err.value.code == 2
         captured = capsys.readouterr()
-        assert f"--instances: must be at least 1, got {instances}" in captured.err
-        assert "passed" not in captured.out
+        assert f"instances must be at least 1, got {instances}" in captured.err
+        assert captured.out == ""
 
     def test_hundred_instance_run_passes(self, capsys):
         code = main(["validate", "--dim-max", "8", "--instances", "100", "--seed", "0"])
@@ -571,12 +542,14 @@ def test_cli_import_leaves_oracle_unloaded(tmp_path):
     check = "import sys, schmidt_forge.cli; sys.exit('schmidt_forge.oracle' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
     assert result.returncode == 0, result.stderr
+    spectrum = tmp_path / "spectrum.json"
+    io.write_spectrum(haar(16, 0), spectrum)
     sweep = ("import sys; from schmidt_forge.cli import main; "
-             "code = main(['sweep', '--dim', '16', '--seed', '0', '--mode', 'efficiency', "
-             "'--pref-grid', 'log:1/D:1:20', '--out', sys.argv[1]]); "
+             "code = main(['sweep', '--spectrum', sys.argv[1], '--mode', 'efficiency', "
+             "'--pref-grid', 'log:1/D:1:20', '--out', sys.argv[2]]); "
              "sys.exit(code or 10 * ('schmidt_forge.oracle' in sys.modules))")
     out = tmp_path / "sweep.csv"
-    result = subprocess.run([sys.executable, "-c", sweep, str(out)], cwd=src,
+    result = subprocess.run([sys.executable, "-c", sweep, str(spectrum), str(out)], cwd=src,
                             capture_output=True)
     assert result.returncode == 0, result.stderr
     assert len(read_csv(out)[1]) == 20
@@ -633,6 +606,14 @@ def _usage_faults():
     yield pytest.param("kthreshold", [["--spectrum", "{spectrum}"], ["--kmin", "3.5"],
                                       ["--gap", "0.1"], ["--out", "{out}"]],
                        id="removed-kthreshold")
+    # removed options: `sample` then `sweep --spectrum` replaces --dim and
+    # --seed, and sweep writes CSV only
+    yield pytest.param("sweep", [["--dim", "8"], ["--seed", "0"], ["--mode", "efficiency"],
+                                 ["--pref-grid", "0.5"], ["--out", "{out}"]],
+                       id="removed-sweep-dim")
+    yield pytest.param("sweep", [["--spectrum", "{spectrum}"], ["--mode", "efficiency"],
+                                 ["--pref-grid", "0.5"], ["--format", "json"],
+                                 ["--out", "{out}"]], id="removed-sweep-format")
 
 
 @pytest.mark.parametrize("command, parts", _usage_faults())

@@ -5,11 +5,8 @@ serializer (kept as ``helpers.reference_render``); the CSV digests pin the
 sweep tables of ``sweep``, one per mode. The spectra are dyadic and the
 references chosen so that every dot product in a plan's measures came out the
 same when summed sequentially, in reverse, pairwise and by
-``math.fsum``, so the digests should not depend on the BLAS build. The
-``sweep-json`` case is the exception: at P_ref = 0.4 its post spectrum is
-[0.4, 0.3, 0.15, 0.15], whose purity is 0.29500000000000004 summed
-sequentially but 0.295 summed as ``(s0 + s1) + (s2 + s3)``, an order a
-vectorised ``ddot`` may use, so another BLAS build could write other bytes.
+``math.fsum``, so the digests should not depend on the BLAS build, with one
+exception, ``sweep-csv-summation-order``.
 """
 
 import hashlib
@@ -48,8 +45,13 @@ GOLDEN = {
     "concentrate-signed-zero": "12a44a48c5be0bbff7dcf0408a3e6c9df6b1d6681019da27c064f402077400e1",
     "fixedp": "09661b102b67b96ee480b5da5c9be1cf6a7313b3d640ab200372b4cfc922e074",
     "measures": "e32dc253296c03dfc5144db6e81d368325b9baddd728b849b90ad8aa91385fdb",
-    "sweep-json": "a8013563bc6ca754731c75d1693c847ccf627eaf5fe6943852c6365a39a227d1",
     "sweep-csv-efficiency": "b4baee9bf08afaf1b40eec69bc74388560c03f57008b53a3b1430adf7bb21896",
+    # at P_ref = 0.4 the post spectrum is [0.4, 0.3, 0.15, 0.15], whose purity
+    # is 0.29500000000000004 summed sequentially but 0.295 summed as
+    # (s0 + s1) + (s2 + s3), an order a vectorised ddot may use, so another
+    # BLAS build could write other bytes
+    "sweep-csv-summation-order":
+        "4dddfdd797aa2e1e9278a0f75b9df38cb53e0711c59f95fb5d529e1564b64114",
     "sweep-csv-fixedprob": "f79fe1bae49fea24628aa279c3805fd5efc79e94e780101feadfe6318e970791",
     "sweep-csv-interp": "92c5f4d2ed405c8f198a2721f5d98eb7607849e6e2219ff756720435518b80ae",
 }
@@ -65,7 +67,8 @@ PLAN_DIGESTS = {
 
 NON_FINITE = (
     b'{"scalar": null, "array": [0.5, null, null, null, 2], '
-    b'"list": [null, 1], "mixed": [1, null, "x", true, null]}\n'
+    b'"floats": {"inf": null, "one": 1}, "mixed": {"int": 1, "nan": null, "none": null, '
+    b'"minus_inf": null}}\n'
 )
 
 
@@ -111,10 +114,10 @@ def artefacts(tmp_path_factory):
         "concentrate-signed-zero": ["concentrate", "--spectrum", str(signed_zero),
                                     "--pref", "0.5"],
         "fixedp": ["fixedp", "--spectrum", str(small), "--p", "0.7"],
-        "sweep-json": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
-                       "--pref-grid", "0.26,0.28,0.32,0.4", "--format", "json"],
         "sweep-csv-efficiency": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
                                  "--pref-grid", "1/D,0.28,0.34375,0.5,1"],
+        "sweep-csv-summation-order": ["sweep", "--spectrum", str(small), "--mode", "efficiency",
+                                      "--pref-grid", "0.26,0.28,0.32,0.4"],
         "sweep-csv-fixedprob": ["sweep", "--spectrum", str(small), "--mode", "fixedprob",
                                 "--pfix-grid", "0.5,0.625,0.8125,1"],
         "sweep-csv-interp": ["sweep", "--spectrum", str(small), "--mode", "interp",
@@ -216,8 +219,8 @@ def test_non_finite_floats_render_null(tmp_path):
     obj = {
         "scalar": float("nan"),
         "array": np.array([0.5, np.nan, np.inf, -np.inf, 2.0]),
-        "list": [np.inf, 1.0],
-        "mixed": [1, np.nan, "x", True, -np.inf],
+        "floats": {"inf": np.inf, "one": 1.0},
+        "mixed": {"int": 1, "nan": np.nan, "none": None, "minus_inf": -np.inf},
     }
     path = tmp_path / "n.json"
     io.write_json(obj, path)
@@ -233,22 +236,18 @@ def test_pieces_match_reference_writer():
     obj = {
         "chunks": floats,
         "exact_chunk": floats[: io.FLOAT_CHUNK],
-        "list": floats[:50].tolist(),
-        "long_list": floats.tolist(),
-        "tuple": tuple(floats[50:60].tolist()),
+        # floats outside an array, each printed by "%.17g" itself
+        "floats": {str(i): v for i, v in enumerate(floats.tolist())},
         "float32": rng.standard_normal(20).astype(np.float32),
-        "float32_list": [np.float32(0.1), 0.2],
-        "ints": np.arange(5),
-        "matrix": rng.standard_normal((3, 4)),
         "empty_array": np.array([]),
-        "empty_list": [],
-        "mixed": [1, 2.5, np.int64(3), np.float64(0.1), None, True, "a\"é", [0.5, 2]],
-        "nested": {"rows": [{"p": 0.25, "n": 2, "q": None}], "ok": False},
+        "empty_dict": {},
+        "mixed": {"int": 1, "float": 2.5, "np_int": np.int64(3), "np_float": np.float64(0.1),
+                  "none": None, "key \"é": 0.5},
+        "nested": {"row": {"p": 0.25, "n": 2, "q": None}, "empty": {}},
         "scalar": np.float64(1 / 3),
         "scalars": {"tie": 26215 / 2**18, "negative_tie": -26215 / 2**18, "zero": -0.0,
                     "subnormal": 5e-324, "fixed_max": 1e16, "exponent_min": 1e17,
-                    "float32": np.float32(0.1), "nan": float("nan"),
-                    "inf": float("inf"), "minus_inf": -float("inf")},
+                    "nan": float("nan"), "inf": float("inf"), "minus_inf": -float("inf")},
     }
     assert_same_text("".join(io.json_pieces(obj)), reference_render(obj))
     # brackets plus one piece per chunk: the text is streamed, not built whole
@@ -270,7 +269,9 @@ def _repeat_cases():
         "chunks_of_repeats": floats,
         "strided": floats[::3],
         "float32_repeats": np.tile(np.array([0.1, -0.0, 0.1, 2.5, 0.0], dtype=np.float32), 7),
-        "repeat_list": [0.5, -0.0, 0.5, 0.0, float("nan"), 0.5],
+        # floats outside an array, each printed by "%.17g" itself
+        "repeat_list": {str(i): v for i, v in
+                        enumerate([0.5, -0.0, 0.5, 0.0, float("nan"), 0.5])},
     }
 
 
@@ -325,5 +326,6 @@ def test_exact_tie_rounds_as_percent_g():
 @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(width=64)),
        st.floats(width=64), st.lists(st.floats(width=64), max_size=5))
 def test_kernel_matches_reference_on_any_floats(array, scalar, floats):
-    value = {"scalar": scalar, "array": array, "list": floats}
+    value = {"scalar": scalar, "array": array,
+             "floats": {str(i): v for i, v in enumerate(floats)}}
     assert "".join(io.json_pieces(value)) == reference_render(value)

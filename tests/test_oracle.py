@@ -25,7 +25,6 @@ from schmidt_forge.errors import (
     DimensionTooLargeError,
     DivisionByZeroGuardError,
     NotPSDError,
-    OutOfRangeError,
     SpectralBoundViolatedError,
 )
 from schmidt_forge import oracle
@@ -358,12 +357,12 @@ class TestValidationDriver:
 
     @pytest.mark.parametrize("dim_max", [MIN_VALIDATION_DIM - 1, 0, -5])
     def test_dim_max_below_minimum_is_typed_error(self, dim_max):
-        with pytest.raises(OutOfRangeError, match="MIN_VALIDATION_DIM = 3"):
+        with pytest.raises(ValueError, match="MIN_VALIDATION_DIM = 3"):
             run_validation(dim_max=dim_max, instances=1)
 
     @pytest.mark.parametrize("instances", [0, -1])
     def test_no_instances_is_typed_error(self, instances):
-        with pytest.raises(OutOfRangeError, match="instances must be at least 1"):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
             run_validation(dim_max=5, instances=instances)
 
 
