@@ -9,11 +9,7 @@ against the closed-form plan. Both columns should sit at rounding level.
 import argparse
 from pathlib import Path
 
-from schmidt_forge import (
-    ReferenceLevel,
-    numeric_qp_ascent,
-    sample_haar_spectrum,
-)
+from schmidt_forge import numeric_qp_ascent, sample_haar_spectrum
 from schmidt_forge.io import write_csv
 
 import numpy as np
@@ -32,9 +28,7 @@ def main():
     grid = np.geomspace(2.0 / args.dim, 1.0, args.grid_points)
     rows = []
     for p_ref in grid:
-        rep = numeric_qp_ascent(
-            s, ReferenceLevel(args.dim, float(p_ref)), restarts=args.restarts, seed=2
-        )
+        rep = numeric_qp_ascent(s, float(p_ref), restarts=args.restarts, seed=2)
         rows.append([
             float(p_ref),
             rep.delta_q_relative if rep.delta_q_relative is not None else float("nan"),

@@ -9,7 +9,6 @@ numerical oracles.
 from .efficiency import (
     ConcentrationOutcome,
     ConcentrationPlan,
-    ReferenceLevel,
     optimal_plan_efficiency,
     reference_from,
 )
@@ -41,7 +40,6 @@ __all__ = sorted(_ORACLE_NAMES | {
     "FixedProbRequest",
     "InterpPoint",
     "Measures",
-    "ReferenceLevel",
     "SchmidtForgeError",
     "SchmidtSpectrum",
     "interp_sweep",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .efficiency import ReferenceLevel, optimal_plan_efficiency, reference_from
+from .efficiency import optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .sampling import MAX_SAMPLE_DIM, _draws
@@ -105,7 +105,7 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _reference_from_args(args, dim: int) -> ReferenceLevel:
+def _reference_from_args(args, dim: int) -> float:
     if args.pref is not None:
         return reference_from("p_ref", args.pref, dim)
     if args.cref_sq is not None:
@@ -115,9 +115,9 @@ def _reference_from_args(args, dim: int) -> ReferenceLevel:
 
 def _cmd_concentrate(args) -> int:
     s = io.read_spectrum(args.spectrum)
-    ref = _reference_from_args(args, s.dim)
-    outcome = optimal_plan_efficiency(s, ref)
-    _emit(io.outcome_dict(outcome, "efficiency", ref.p_ref), args.out)
+    p_ref = _reference_from_args(args, s.dim)
+    outcome = optimal_plan_efficiency(s, p_ref)
+    _emit(io.outcome_dict(outcome, "efficiency", p_ref), args.out)
     return 0
 
 

@@ -22,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InfeasibleError,
     OutOfRangeError,
     RankDeficientFullConcentrationError,
@@ -39,62 +38,30 @@ P_REF_TOL = 2.0**-53
 _MIN_NORMAL = sys.float_info.min
 
 
-def _check_dim(dim: int) -> None:
+def reference_from(kind: str, value: float, dim: int) -> float:
+    """The reference purity P_ref, from any of its equivalent parameterizations.
+
+    ``kind`` is one of ``p_ref``, ``c_ref_sq`` (the squared reference
+    I-Concurrence, P_ref = 1 - (D-1)/D * c_ref_sq) and ``k_ref`` (the
+    reference Schmidt number, P_ref = 1/k_ref). A value within ``FEAS_TOL``
+    past the bound that means the minimum P_ref (c_ref_sq = 1, k_ref = D) is
+    taken as that bound. A P_ref is returned as given: the planner checks its
+    range against the spectrum's dimension.
+    """
     if not dim >= 2:
         raise OutOfRangeError(f"dim={dim!r} below 2: a reference level needs dim >= 2")
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceLevel:
-    """Reference purity P_ref, the one number a reference level stores.
-
-    The squared reference I-Concurrence D/(D-1) * (1 - P_ref) and the
-    reference Schmidt number 1/P_ref are equivalent views of it, converted
-    only on the way in, by :func:`reference_from`.
-    """
-
-    dim: int
-    p_ref: float
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        lo = 1.0 / self.dim
-        if not lo - P_REF_TOL <= self.p_ref <= 1.0 + FEAS_TOL:
-            raise OutOfRangeError(
-                f"p_ref={self.p_ref!r} outside [1/{self.dim}, 1]"
-            )
-
-    @property
-    def is_standard_concentration(self) -> bool:
-        """True when P_ref sits at its minimum 1/D (C_ref = 1), up to the
-        rounding of its computation; every larger P_ref gets its own level."""
-        return self.p_ref - 1.0 / self.dim <= P_REF_TOL
-
-
-def reference_from(kind: str, value: float, dim: int) -> ReferenceLevel:
-    """Build a reference level from any of its equivalent parameterizations.
-
-    ``kind`` is one of ``p_ref``, ``c_ref_sq``, ``k_ref``. A value within
-    ``FEAS_TOL`` past the bound that means the minimum P_ref (c_ref_sq = 1,
-    k_ref = D) is taken as that bound.
-    """
-    _check_dim(dim)
     value = float(value)
     if kind == "p_ref":
-        p_ref = value
-    elif kind == "c_ref_sq":
+        return value
+    if kind == "c_ref_sq":
         if not -FEAS_TOL <= value <= 1.0 + FEAS_TOL:
             raise OutOfRangeError(f"c_ref_sq={value!r} outside [0, 1]")
-        value = min(value, 1.0)
-        p_ref = 1.0 - (dim - 1.0) / dim * value
-    elif kind == "k_ref":
+        return 1.0 - (dim - 1.0) / dim * min(value, 1.0)
+    if kind == "k_ref":
         if not 1.0 - FEAS_TOL <= value <= dim + FEAS_TOL:
             raise OutOfRangeError(f"k_ref={value!r} outside [1, {dim}]")
-        value = min(value, float(dim))
-        p_ref = 1.0 / value
-    else:
-        raise ValueError(f"unknown reference kind {kind!r}")
-    return ReferenceLevel(dim, p_ref)
+        return 1.0 / min(value, float(dim))
+    raise ValueError(f"unknown reference kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +148,7 @@ def _outcome_from_plan(
     p_success = float(np.add.reduce(plan.x))
     # 0 <= x_m <= a^2 is finite and p_success > 0 (the level is positive), so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    post = SchmidtSpectrum._adopt(s.dim, plan.x / p_success)
+    post = SchmidtSpectrum._adopt(plan.x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), q_value)
 
 
@@ -287,9 +254,12 @@ class _Sweep:
 
 
 def optimal_plan_efficiency(
-    s: SchmidtSpectrum, ref: ReferenceLevel, _sweep: _Sweep | None = None
+    s: SchmidtSpectrum, p_ref: float, _sweep: _Sweep | None = None
 ) -> ConcentrationOutcome:
     """Globally maximize the efficiency payoff over all diagonal plans.
+
+    The reference purity ``p_ref`` must lie in [1/D, 1], up to the rounding
+    of its computation (``P_REF_TOL`` below, ``FEAS_TOL`` above).
 
     Every plan is one water level L, x_m = min(a_m^2, L). At the minimum
     reference purity P_ref = 1/D this is standard concentration: L = a_min^2,
@@ -306,12 +276,14 @@ def optimal_plan_efficiency(
     ``_sweep`` is private to :func:`schmidt_forge.sweep.sweep_table`: the
     frontier its points share, which changes no byte of the outcome.
     """
-    if s.dim != ref.dim:
-        raise DimensionMismatchError(f"spectrum dim {s.dim} != reference dim {ref.dim}")
     d = s.dim
-    p_ref = ref.p_ref
+    # written so that a NaN fails it
+    if not 1.0 / d - P_REF_TOL <= p_ref <= 1.0 + FEAS_TOL:
+        raise OutOfRangeError(f"p_ref={p_ref!r} outside [1/{d}, 1]")
 
-    if ref.is_standard_concentration:
+    # P_ref at its minimum 1/D (C_ref = 1), up to rounding: every larger
+    # P_ref gets its own level
+    if p_ref - 1.0 / d <= P_REF_TOL:
         amin = s.min_sq
         if amin == 0.0:
             raise RankDeficientFullConcentrationError(
@@ -319,7 +291,7 @@ def optimal_plan_efficiency(
             )
         plan = _level_plan(s, amin, d)
         # the uniform spectrum, valid for every D >= 2
-        post = SchmidtSpectrum._adopt(d, np.full(d, 1.0 / d))
+        post = SchmidtSpectrum._adopt(np.full(d, 1.0 / d))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
     rank = s.rank

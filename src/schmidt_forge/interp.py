@@ -48,7 +48,7 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
     b_sq = s.sq_coeffs + (1.0 / d - s.sq_coeffs) * xi
     # a convex combination of two valid spectra: (1/D - a^2) * xi lies between
     # 0 and 1/D - a^2, so every b^2 lies between a^2 and 1/D, and they sum to 1
-    spectrum = SchmidtSpectrum._adopt(d, b_sq)
+    spectrum = SchmidtSpectrum._adopt(b_sq)
     w = d * amin
     ratio = xi / w
     # a subnormal D * a_min^2 overflows the ratio: multiply through by w

@@ -273,7 +273,7 @@ def read_spectrum(path) -> SchmidtSpectrum:
         raise SchemaError(f"{path}: missing fields {sorted(missing)}")
     dim = data["dim"]
     coeffs = data["squared_coefficients"]
-    if not isinstance(dim, int) or not isinstance(coeffs, list):
+    if type(dim) is not int or not isinstance(coeffs, list):  # a JSON boolean is no dim
         raise SchemaError(f"{path}: wrong field types")
     if not set(map(type, coeffs)) <= {int, float}:  # JSON booleans and strings too
         raise SchemaError(f"{path}: coefficients must be numbers")

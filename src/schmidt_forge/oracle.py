@@ -45,7 +45,6 @@ from .efficiency import (
     FEAS_TOL,
     ConcentrationOutcome,
     ConcentrationPlan,
-    ReferenceLevel,
     _scale,
     _y_of,
     optimal_plan_efficiency,
@@ -138,30 +137,30 @@ def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
     return s.sq_coeffs * y
 
 
-def efficiency_q(s: SchmidtSpectrum, y, ref: ReferenceLevel) -> float:
+def efficiency_q(s: SchmidtSpectrum, y, p_ref: float) -> float:
     """Evaluate the efficiency payoff Q at an arbitrary box point."""
-    return _scale(s.dim) * _payoff(ref.p_ref, _check_box(s, y))
+    return _scale(s.dim) * _payoff(p_ref, _check_box(s, y))
 
 
 def apply_plan(
-    s: SchmidtSpectrum, plan: ConcentrationPlan, ref: ReferenceLevel | None = None
+    s: SchmidtSpectrum, plan: ConcentrationPlan, p_ref: float | None = None
 ) -> ConcentrationOutcome:
     """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
 
     Everything is recomputed from ``plan.y``, so this doubles as an
     independent check of planner-built outcomes. ``q_value`` is filled only
-    when a reference level is supplied.
+    when a reference purity is supplied.
     """
     x = _check_box(s, plan.y)
     p_success = float(np.add.reduce(x))
     if p_success <= 0.0:
         raise InfeasibleError("plan has zero success probability")
-    post = SchmidtSpectrum(s.dim, x / p_success)
-    q = efficiency_q(s, plan.y, ref) if ref is not None else None
+    post = SchmidtSpectrum(x / p_success)
+    q = efficiency_q(s, plan.y, p_ref) if p_ref is not None else None
     return ConcentrationOutcome(plan, p_success, post, measures(post), q)
 
 
-def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel) -> bool:
+def duality_check(s: SchmidtSpectrum, p_ref: float) -> bool:
     """Cross-validate the two planners against each other.
 
     Feeding the efficiency optimum's success probability to the
@@ -169,7 +168,7 @@ def duality_check(s: SchmidtSpectrum, ref: ReferenceLevel) -> bool:
     maximizer is also the purity minimizer at its own success probability
     (otherwise a lower-purity plan at equal probability would beat it).
     """
-    eff = optimal_plan_efficiency(s, ref)
+    eff = optimal_plan_efficiency(s, p_ref)
     fixed = optimal_plan_fixed(s, FixedProbRequest(eff.p_success))
     return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= DUALITY_TOL)
 
@@ -207,7 +206,7 @@ def _efficiency_table(sq: np.ndarray, p_ref: float):
     return np.concatenate(([np.nan], alpha)), np.concatenate(([_payoff(p_ref, sq)], q_crit))
 
 
-def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleReport:
+def enumerate_configurations(s: SchmidtSpectrum, p_ref: float) -> OracleReport:
     """Exhaustively score every candidate maximizer of the efficiency payoff.
 
     The identity corner (row 0) and all 2^D - 1 nonempty interior sets are
@@ -217,7 +216,7 @@ def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleR
     """
     d = s.dim
     sq = s.sq_coeffs
-    level, q = _efficiency_table(sq, ref.p_ref)
+    level, q = _efficiency_table(sq, p_ref)
     inner = _subset_masks(d)
     best = int(np.argmax(q))  # the first maximum: row 0 on a tie
     x = np.where(inner[best], float(level[best]), sq)
@@ -231,7 +230,7 @@ def enumerate_configurations(s: SchmidtSpectrum, ref: ReferenceLevel) -> OracleR
     )
 
 
-def best_zero_face_gain(s: SchmidtSpectrum, ref: ReferenceLevel) -> float:
+def best_zero_face_gain(s: SchmidtSpectrum, p_ref: float) -> float:
     """Scaled payoff by which the best point with a zeroed coordinate beats
     the enumeration's winner; never positive, since zeroing never helps.
 
@@ -245,7 +244,6 @@ def best_zero_face_gain(s: SchmidtSpectrum, ref: ReferenceLevel) -> float:
             f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}"
         )
     sq = s.sq_coeffs
-    p_ref = ref.p_ref
     best = float(np.max(_efficiency_table(sq, p_ref)[1]))
     faces = max(
         float(np.max(_efficiency_table(sq[~zero], p_ref)[1]))
@@ -280,7 +278,7 @@ def enumerate_fixed_configurations(s: SchmidtSpectrum, p_fix: float) -> OracleRe
 
 def numeric_qp_ascent(
     s: SchmidtSpectrum,
-    ref: ReferenceLevel,
+    p_ref: float,
     restarts: int = 32,
     seed: int = 0,
 ) -> OracleReport:
@@ -301,7 +299,6 @@ def numeric_qp_ascent(
         raise ValueError("restarts must be >= 1")
     d = s.dim
     sq = s.sq_coeffs
-    p_ref = ref.p_ref
     scale = _scale(d)
     rng = np.random.default_rng(seed)
 
@@ -338,7 +335,7 @@ def numeric_qp_ascent(
         return x, q, False
 
     try:
-        alg = optimal_plan_efficiency(s, ref)
+        alg = optimal_plan_efficiency(s, p_ref)
     except SchmidtForgeError:
         alg = None
 
@@ -374,7 +371,7 @@ def numeric_qp_ascent(
     )
 
 
-def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int, float]:
+def prefix_scan_efficiency(s: SchmidtSpectrum, p_ref: float) -> tuple[int, float]:
     """Crop count and level of the efficiency optimum, from the frontier.
 
     Under the curvature bound n * P_ref < 1 and with something left
@@ -384,7 +381,6 @@ def prefix_scan_efficiency(s: SchmidtSpectrum, ref: ReferenceLevel) -> tuple[int
     the identity.
     """
     a, beta, p = frontier(s)
-    p_ref = ref.p_ref
     # the bound follows from the other two, but not in floats: p_n can absorb
     # a subnormal beta_n, as in [0.5, 0.5, 5e-324] at P_ref = 0.5
     curved = np.arange(1, a.size + 1) * p_ref < 1.0
@@ -425,7 +421,7 @@ def appendix_a_check(s: SchmidtSpectrum, seed: int = 0) -> bool:
 
 
 def appendix_b_check(
-    s: SchmidtSpectrum, pi: np.ndarray, ref: ReferenceLevel
+    s: SchmidtSpectrum, pi: np.ndarray, p_ref: float
 ) -> tuple[float, float]:
     """Off-diagonal filter components can only lower the payoff.
 
@@ -455,7 +451,7 @@ def appendix_b_check(
     off_sq = np.abs(pi) ** 2
     np.fill_diagonal(off_sq, 0.0)  # sum over m != n only
     off_term = float(sq @ off_sq @ sq)
-    q_diag = scale * (ref.p_ref * p * p - diag_term)
+    q_diag = scale * (p_ref * p * p - diag_term)
     q_full = q_diag - scale * off_term
     return q_full, q_diag
 
@@ -480,9 +476,9 @@ class ValidationResult:
 
 
 def _efficiency_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
-    ref = ReferenceLevel(s.dim, 1.0 / s.dim + rng.uniform(0.01, 1.0) * (1.0 - 1.0 / s.dim))
-    alg = optimal_plan_efficiency(s, ref)
-    report = enumerate_configurations(s, ref)
+    p_ref = 1.0 / s.dim + rng.uniform(0.01, 1.0) * (1.0 - 1.0 / s.dim)
+    alg = optimal_plan_efficiency(s, p_ref)
+    report = enumerate_configurations(s, p_ref)
     dq = abs(alg.q_value - report.best_q) / abs(report.best_q)
     return dq, float(np.max(np.abs(alg.plan.y - report.best_y)))
 
@@ -495,8 +491,8 @@ def _fixedprob_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
 
 
 def _duality(s: SchmidtSpectrum, rng: np.random.Generator):
-    ref = ReferenceLevel(s.dim, 1.0 / s.dim + rng.uniform(0.0, 1.0) * (1.0 - 1.0 / s.dim))
-    return (float(not duality_check(s, ref)),)
+    p_ref = 1.0 / s.dim + rng.uniform(0.0, 1.0) * (1.0 - 1.0 / s.dim)
+    return (float(not duality_check(s, p_ref)),)
 
 
 def _identity_dominates(s: SchmidtSpectrum, rng: np.random.Generator):
@@ -504,16 +500,16 @@ def _identity_dominates(s: SchmidtSpectrum, rng: np.random.Generator):
 
 
 def _offdiagonal_never_helps(s: SchmidtSpectrum, rng: np.random.Generator):
-    ref = ReferenceLevel(s.dim, float(rng.uniform(1.0 / s.dim, 1.0)))
-    pairs = [appendix_b_check(s, sample_psd_contraction(s.dim, rng), ref) for _ in range(200)]
+    p_ref = float(rng.uniform(1.0 / s.dim, 1.0))
+    pairs = [appendix_b_check(s, sample_psd_contraction(s.dim, rng), p_ref) for _ in range(200)]
     # np.max keeps a NaN, which then fails the spectrum
     return (float(np.max([q_full - q_diag for q_full, q_diag in pairs])),)
 
 
 def _ascent_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
-    ref = ReferenceLevel(s.dim, float(rng.uniform(1.0 / s.dim + 0.01, 1.0)))
-    enum = enumerate_configurations(s, ref)
-    asc = numeric_qp_ascent(s, ref, restarts=8, seed=int(rng.integers(2**63)))
+    p_ref = float(rng.uniform(1.0 / s.dim + 0.01, 1.0))
+    enum = enumerate_configurations(s, p_ref)
+    asc = numeric_qp_ascent(s, p_ref, restarts=8, seed=int(rng.integers(2**63)))
     return (abs(asc.best_q - enum.best_q) / max(abs(enum.best_q), 1e-300),)
 
 

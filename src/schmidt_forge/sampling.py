@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionTooLargeError
-from .spectrum import SchmidtSpectrum
+from .spectrum import SchmidtSpectrum, make_spectrum
 
 #: largest sampled dimension: a draw holds D x D complex matrices (16 * D^2
 #: bytes each) and costs O(D^3), about 4 s at D = 2048 on two cores
@@ -24,9 +24,7 @@ def _one_spectrum(dim: int, seed: int) -> SchmidtSpectrum:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     # squared singular values via the Gram matrix; clip rounding negatives
     w = np.linalg.eigvalsh(g.conj().T @ g)
-    w = np.clip(w, 0.0, None)[::-1]
-    w /= w.sum()
-    return SchmidtSpectrum(dim, w)
+    return make_spectrum(np.clip(w, 0.0, None)[::-1], normalize=True)
 
 
 def _draws(dim: int, seed: int, count: int):

@@ -35,51 +35,68 @@ def _frozen_array(values) -> np.ndarray:
     return a
 
 
-def _check_shape(dim: int, coeffs: np.ndarray) -> None:
-    if coeffs.ndim != 1:
-        raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {coeffs.shape}")
-    if dim != coeffs.size:
-        raise InvalidSpectrumError(f"dim={dim} does not match {coeffs.size} coefficients")
-    if dim < 2:
+def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float]:
+    """A caller's squared coefficients as a float64 array, and their sum.
+
+    This is the one check of values from outside the package, made in this
+    order: nonempty, finite, nonnegative, a positive sum, within ``tol`` of 1
+    unless ``normalize`` is set, and one dimension of size D >= 2.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        raise EmptyInputError("no coefficients given")
+    # a NaN propagates through both the min and the max, so it fails the first test
+    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
+    if not -np.inf < lo <= hi < np.inf:
+        raise NonFiniteEntryError("coefficients must be finite")
+    if lo < 0.0:
+        raise NegativeEntryError("coefficients must be nonnegative")
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(arr, axis=None))
+    if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
+        # the sum overflows, or is subnormal and has lost digits: divide by
+        # the largest entry first
+        arr = arr / hi
+        total = float(np.add.reduce(arr, axis=None))
+    if total <= 0.0:
+        raise NotNormalizedError("all-zero coefficient list cannot be normalized")
+    if not normalize and abs(total - 1.0) > tol:
+        raise NotNormalizedError(
+            f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
+        )
+    if arr.ndim != 1:
+        raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {arr.shape}")
+    if arr.size < 2:
         raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
+    return arr, total
 
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
-    """Squared Schmidt coefficients of a D-dimensional pure bipartite state."""
+    """Squared Schmidt coefficients of a D-dimensional pure bipartite state;
+    D is their count."""
 
-    dim: int
     sq_coeffs: np.ndarray
 
     @classmethod
-    def _adopt(cls, dim: int, sq_coeffs: np.ndarray) -> SchmidtSpectrum:
+    def _adopt(cls, sq_coeffs: np.ndarray) -> SchmidtSpectrum:
         """A spectrum of values this package has just made, stored as given: it
         skips ``__init__`` and ``__post_init__``, so nothing is copied or checked,
         and ``sq_coeffs`` is made read-only in place. Each caller says why its
         values are valid; a spectrum is checked once, where it enters."""
         s = object.__new__(cls)
         sq_coeffs.setflags(write=False)
-        object.__setattr__(s, "dim", dim)
         object.__setattr__(s, "sq_coeffs", sq_coeffs)
         return s
 
     def __post_init__(self):
         coeffs = _frozen_array(self.sq_coeffs)
+        _checked(coeffs, False, NORM_TOL)
         object.__setattr__(self, "sq_coeffs", coeffs)
-        _check_shape(self.dim, coeffs)
-        # a NaN propagates through both the min and the max, so it fails the first test
-        lo, hi = np.minimum.reduce(coeffs), np.maximum.reduce(coeffs)
-        if not -np.inf < lo <= hi < np.inf:
-            raise NonFiniteEntryError("squared coefficients must be finite")
-        if lo < 0.0:
-            raise NegativeEntryError("squared coefficients must be nonnegative")
-        if hi > 1.0 + NORM_TOL:
-            raise InvalidSpectrumError("a squared coefficient exceeds 1")
-        total = float(np.add.reduce(coeffs))
-        if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalizedError(
-                f"squared coefficients sum to {total!r}, not 1 within {NORM_TOL}"
-            )
+
+    @property
+    def dim(self) -> int:
+        return self.sq_coeffs.size
 
     @cached_property
     def min_sq(self) -> float:
@@ -121,32 +138,10 @@ def make_spectrum(values, normalize: bool = False) -> SchmidtSpectrum:
     ``INGEST_TOL``; either way the stored spectrum is rescaled to unit sum so
     downstream code sees exact normalization.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise EmptyInputError("no coefficients given")
-    # a NaN propagates through both the min and the max, so it fails the first test
-    lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
-    if not -np.inf < lo <= hi < np.inf:
-        raise NonFiniteEntryError("coefficients must be finite")
-    if lo < 0.0:
-        raise NegativeEntryError("coefficients must be nonnegative")
-    with np.errstate(over="ignore"):
-        total = float(np.add.reduce(arr, axis=None))
-    if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
-        # the sum overflows, or is subnormal and has lost digits: divide by
-        # the largest entry first
-        arr = arr / hi
-        total = float(np.add.reduce(arr, axis=None))
-    if total <= 0.0:
-        raise NotNormalizedError("all-zero coefficient list cannot be normalized")
-    if not normalize and abs(total - 1.0) > INGEST_TOL:
-        raise NotNormalizedError(
-            f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
-        )
-    _check_shape(arr.size, arr)
+    arr, total = _checked(values, normalize, INGEST_TOL)
     # the values are finite and nonnegative with a positive finite sum, so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    return SchmidtSpectrum._adopt(int(arr.size), arr / total)
+    return SchmidtSpectrum._adopt(arr / total)
 
 
 def measures(s: SchmidtSpectrum) -> Measures:
@@ -189,5 +184,6 @@ def sort_descending(s: SchmidtSpectrum) -> tuple[SchmidtSpectrum, tuple[int, ...
     its deletion waits until the benchmark stops doing so (ROADMAP item 1).
     """
     perm = np.argsort(-s.sq_coeffs, kind="stable")
-    sorted_spectrum = SchmidtSpectrum(s.dim, s.sq_coeffs[perm])
+    # a permutation of a valid spectrum is valid
+    sorted_spectrum = SchmidtSpectrum._adopt(s.sq_coeffs[perm])
     return sorted_spectrum, tuple(int(i) for i in perm)

@@ -14,7 +14,7 @@ spectrum's identity outcome, made once per spectrum as for single plans.
 
 from __future__ import annotations
 
-from .efficiency import ReferenceLevel, _Sweep, optimal_plan_efficiency
+from .efficiency import _Sweep, optimal_plan_efficiency
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .interp import interpolate
 from .spectrum import SchmidtSpectrum
@@ -47,7 +47,7 @@ def sweep_table(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[li
     shared = _Sweep(s) if mode == "efficiency" else None
     for v in grid:
         if mode == "efficiency":
-            o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v), shared)
+            o = optimal_plan_efficiency(s, v, shared)
         else:
             o = optimal_plan_fixed(s, FixedProbRequest(v))
         m = o.post_measures

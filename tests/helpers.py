@@ -55,11 +55,9 @@ def assert_level_plan(plan, sq: np.ndarray) -> None:
 def random_reference(rng: np.random.Generator, dim: int, margin: float = 0.0, top: float = 1.0):
     """Uniform reference purity in [1/D + margin * span, 1/D + top * span],
     where span = 1 - 1/D."""
-    from schmidt_forge import ReferenceLevel
-
     lo = 1.0 / dim
     u = rng.uniform(margin, top)
-    return ReferenceLevel(dim, lo + u * (1.0 - lo))
+    return lo + u * (1.0 - lo)
 
 
 def read_csv(path) -> tuple[list[str], list[list[float]]]:

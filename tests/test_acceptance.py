@@ -12,7 +12,6 @@ import pytest
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     apply_plan,
     appendix_a_check,
     appendix_b_check,
@@ -49,7 +48,7 @@ def test_criterion_1_closed_form_vs_exhaustive_oracle():
         d = int(rng.integers(3, 11))
         s = _haar(d, 1_000_000 + k)
         u = rng.uniform(0.01, 1.0)
-        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        ref = 1.0 / d + u * (1.0 - 1.0 / d)
         alg = optimal_plan_efficiency(s, ref)
         enum = enumerate_configurations(s, ref)
         worst_dq = max(worst_dq, abs(alg.q_value - enum.best_q) / abs(enum.best_q))
@@ -58,7 +57,7 @@ def test_criterion_1_closed_form_vs_exhaustive_oracle():
         sq = s.sq_coeffs
         ys = rng.uniform(size=(1000, d))
         p = ys @ sq
-        q_samples = (d / (d - 1.0)) * (ref.p_ref * p * p - (ys * ys) @ (sq * sq))
+        q_samples = (d / (d - 1.0)) * (ref * p * p - (ys * ys) @ (sq * sq))
         worst_sample_excess = max(worst_sample_excess, float(q_samples.max()) - alg.q_value)
     elapsed = time.monotonic() - t0
     ok = (
@@ -86,7 +85,7 @@ def test_criterion_2_numeric_ascent_reproduction():
     worst_dq = worst_dy = 0.0
     undefined = 0
     for p_ref in grid:
-        report = numeric_qp_ascent(s, ReferenceLevel(d, float(p_ref)), restarts=32, seed=2)
+        report = numeric_qp_ascent(s, float(p_ref), restarts=32, seed=2)
         if report.delta_q_relative is None or report.delta_y_relative is None:
             undefined += 1
             continue
@@ -110,7 +109,7 @@ def test_criterion_3_large_dimension_statistics():
         s = _haar(d, seed)
         k_init = measures(s).schmidt_number
         full_prob = d * s.min_sq
-        out = optimal_plan_efficiency(s, ReferenceLevel(d, 1.152e-3))
+        out = optimal_plan_efficiency(s, 1.152e-3)
         k_plan = out.post_measures.schmidt_number
         p_plan = out.p_success
         ok = ok and 460.0 <= k_init <= 560.0
@@ -127,7 +126,7 @@ def test_criterion_4_standard_concentration_endpoint():
     for k in range(100):
         d = int(rng.integers(3, 13))
         s = _haar(d, 2_000_000 + k)
-        out = optimal_plan_efficiency(s, ReferenceLevel(d, 1.0 / d))
+        out = optimal_plan_efficiency(s, 1.0 / d)
         ok = ok and out.p_success == d * s.min_sq  # closed form, exactly
         redo = apply_plan(s, out.plan)  # independent reconstruction from y
         dev = float(np.max(np.abs(redo.post_spectrum.sq_coeffs - 1.0 / d)))
@@ -202,7 +201,7 @@ def test_criterion_6_duality():
         d = int(rng.integers(3, 11))
         s = _haar(d, 4_000_000 + k)
         u = rng.uniform(0.0, 1.0)
-        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        ref = 1.0 / d + u * (1.0 - 1.0 / d)
         failures += not duality_check(s, ref)
     _report(6, "efficiency and fixed-probability planners agree", failures == 0,
             f"500 instances, failures={failures}")
@@ -225,7 +224,7 @@ def test_criterion_8_offdiagonal_components_never_help():
     for k in range(50):
         d = int(rng.integers(2, 17))
         s = _haar(d, 6_000_000 + k)
-        ref = ReferenceLevel(d, float(rng.uniform(1.0 / d, 1.0)))
+        ref = float(rng.uniform(1.0 / d, 1.0))
         for _ in range(1000):
             pi = sample_psd_contraction(d, rng)
             q_full, q_diag = appendix_b_check(s, pi, ref)
@@ -235,7 +234,7 @@ def test_criterion_8_offdiagonal_components_never_help():
     pair = appendix_b_check(
         make_spectrum([0.5, 0.5]),
         np.array([[0.5, 0.1], [0.1, 0.5]]),
-        ReferenceLevel(2, 0.6),
+        0.6,
     )
     ok = ok and pair[0] == pytest.approx(0.04, abs=1e-15)
     ok = ok and pair[1] == pytest.approx(0.05, abs=1e-15)
@@ -249,7 +248,7 @@ def test_criterion_8_offdiagonal_components_never_help():
 
 def test_criterion_9_worked_regression():
     s = make_spectrum([0.4, 0.3, 0.2, 0.1])
-    eff = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3))
+    eff = optimal_plan_efficiency(s, 0.3)
     fixed = optimal_plan_fixed(s, FixedProbRequest(0.7))
     ok = (
         eff.plan.n_opt == 2

@@ -16,7 +16,6 @@ from hypothesis import example, given, settings
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     io,
     make_spectrum,
     optimal_plan_efficiency,
@@ -25,6 +24,8 @@ from schmidt_forge import (
     sweep_table,
 )
 from schmidt_forge.cli import MAX_GRID_POINTS, build_parser, main, parse_grid
+from schmidt_forge.efficiency import FEAS_TOL, P_REF_TOL
+from schmidt_forge.errors import OutOfRangeError
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 from helpers import haar, inject_fault, read_csv
@@ -154,6 +155,21 @@ class TestConcentrateCommand:
         code = main(["concentrate", "--spectrum", str(worked_spectrum), "--pref", "0.05"])
         assert code == 1
         assert "OutOfRangeError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_ref", [
+        float("nan"), float("inf"), float("-inf"), 0.25 - 2 * P_REF_TOL, 1.0 + 2 * FEAS_TOL,
+    ], ids=["nan", "inf", "-inf", "below-1/D", "above-1"])
+    def test_planner_is_the_one_p_ref_gate(self, worked_spectrum, capsys, p_ref):
+        # the library, a sweep at its first bad point and the CLI report one error
+        message = f"p_ref={p_ref!r} outside [1/4, 1]"
+        s = make_spectrum(WORKED)
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            optimal_plan_efficiency(s, p_ref)
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+            sweep_table(s, "efficiency", [0.3, p_ref, 2.0])
+        argv = ["concentrate", "--spectrum", str(worked_spectrum), f"--pref={p_ref!r}"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"OutOfRangeError: {message}\n")
 
     def test_kref_threshold_heuristic(self, tmp_path, capsys):
         # D = 16 state; ask for at least K = 8 with a 10% threshold gap, that
@@ -391,7 +407,7 @@ class TestSweepCommand:
             assert len(rows) == 30
             for row in rows:
                 if mode == "efficiency":
-                    o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, row[0]))
+                    o = optimal_plan_efficiency(s, row[0])
                 else:
                     o = optimal_plan_fixed(s, FixedProbRequest(row[0]))
                 m = o.post_measures
@@ -559,6 +575,16 @@ def test_package_exports_resolve():
     # the oracle names load lazily, so only getattr shows that each one exists
     import schmidt_forge
 
+    assert schmidt_forge.__all__ == [
+        "ConcentrationOutcome", "ConcentrationPlan", "FixedProbRequest", "InterpPoint",
+        "Measures", "OracleReport", "SchmidtForgeError", "SchmidtSpectrum",
+        "appendix_a_check", "appendix_b_check", "apply_plan", "best_zero_face_gain",
+        "duality_check", "efficiency_q", "enumerate_configurations",
+        "enumerate_fixed_configurations", "interp_sweep", "interpolate", "make_spectrum",
+        "measures", "numeric_qp_ascent", "optimal_plan_efficiency", "optimal_plan_fixed",
+        "reference_from", "relative_diffs", "run_validation", "sample_haar_spectrum",
+        "sort_descending", "sweep_table",
+    ]
     assert schmidt_forge._ORACLE_NAMES <= set(schmidt_forge.__all__)
     for name in schmidt_forge.__all__:
         assert getattr(schmidt_forge, name) is not None, name

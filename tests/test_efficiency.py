@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     apply_plan,
     efficiency_q,
     make_spectrum,
@@ -41,36 +40,38 @@ WORKED = [0.4, 0.3, 0.2, 0.1]
 
 class TestReferenceFrom:
     def test_full_concurrence_reference(self):
-        ref = reference_from("c_ref_sq", 1.0, 16)
-        assert ref.p_ref == pytest.approx(1.0 / 16.0, abs=1e-15)
+        p_ref = reference_from("c_ref_sq", 1.0, 16)
+        assert p_ref == pytest.approx(1.0 / 16.0, abs=1e-15)
 
     def test_schmidt_number_reference(self):
-        ref = reference_from("k_ref", 868.0, 1024)
-        assert ref.p_ref == pytest.approx(1.152e-3, rel=1e-3)
+        p_ref = reference_from("k_ref", 868.0, 1024)
+        assert p_ref == pytest.approx(1.152e-3, rel=1e-3)
 
     def test_zero_reference_entanglement(self):
-        ref = reference_from("c_ref_sq", 0.0, 4)
-        assert ref.p_ref == 1.0
+        assert reference_from("c_ref_sq", 0.0, 4) == 1.0
 
     def test_views_mutually_consistent(self):
-        ref = reference_from("c_ref_sq", 0.64, 5)
-        k_ref = 1.0 / ref.p_ref
-        assert reference_from("k_ref", k_ref, 5).p_ref == pytest.approx(
-            ref.p_ref, abs=1e-15
+        p_ref = reference_from("c_ref_sq", 0.64, 5)
+        k_ref = 1.0 / p_ref
+        assert reference_from("k_ref", k_ref, 5) == pytest.approx(
+            p_ref, abs=1e-15
         )
-        assert 5 / 4 * (1.0 - ref.p_ref) == pytest.approx(0.64, abs=1e-15)
+        assert 5 / 4 * (1.0 - p_ref) == pytest.approx(0.64, abs=1e-15)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRangeError):
             reference_from("k_ref", 5.0, 4)  # k_ref > D
         with pytest.raises(OutOfRangeError):
             reference_from("c_ref_sq", 1.2, 4)
+        # a P_ref passes through; the planner checks its range
+        assert reference_from("p_ref", 0.1, 4) == 0.1
+        s = make_spectrum(WORKED)
         with pytest.raises(OutOfRangeError):
-            reference_from("p_ref", 0.1, 4)  # below 1/D
+            optimal_plan_efficiency(s, 0.1)  # below 1/D
         with pytest.raises(OutOfRangeError):
-            reference_from("p_ref", 0.25 - 5e-13, 4)  # below 1/D by more than rounding
+            optimal_plan_efficiency(s, 0.25 - 5e-13)  # below 1/D by more than rounding
         with pytest.raises(OutOfRangeError):
-            reference_from("p_ref", 1.3, 4)
+            optimal_plan_efficiency(s, 1.3)
 
     @pytest.mark.parametrize("dim", [-1, 0, 1])
     @pytest.mark.parametrize("kind, value", [
@@ -80,34 +81,32 @@ class TestReferenceFrom:
         message = f"^dim={dim} below 2: a reference level needs dim >= 2$"
         with pytest.raises(OutOfRangeError, match=message):
             reference_from(kind, value, dim)
-        with pytest.raises(OutOfRangeError, match=message):
-            ReferenceLevel(dim, value)
 
 
 class TestEfficiencyQ:
     def test_reference_equals_achieved_purity(self):
         s = make_spectrum([0.5, 0.5])
-        assert efficiency_q(s, [1.0, 1.0], ReferenceLevel(2, 0.5)) == pytest.approx(
+        assert efficiency_q(s, [1.0, 1.0], 0.5) == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_reference_equals_initial_purity(self):
         s = make_spectrum(WORKED)
-        assert efficiency_q(s, np.ones(4), ReferenceLevel(4, 0.3)) == pytest.approx(
+        assert efficiency_q(s, np.ones(4), 0.3) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_worked_value(self):
         s = make_spectrum(WORKED)
-        q = efficiency_q(s, [0.5625, 0.75, 1.0, 1.0], ReferenceLevel(4, 0.3))
+        q = efficiency_q(s, [0.5625, 0.75, 1.0, 1.0], 0.3)
         assert q == pytest.approx(0.0233333333333333, abs=1e-12)
 
     def test_out_of_box(self):
         s = make_spectrum(WORKED)
         with pytest.raises(YOutOfBoxError):
-            efficiency_q(s, [1.5, 1.0, 1.0, 1.0], ReferenceLevel(4, 0.3))
+            efficiency_q(s, [1.5, 1.0, 1.0, 1.0], 0.3)
         with pytest.raises(YOutOfBoxError):
-            efficiency_q(s, [-0.1, 1.0, 1.0, 1.0], ReferenceLevel(4, 0.3))
+            efficiency_q(s, [-0.1, 1.0, 1.0, 1.0], 0.3)
 
     @given(spectra(max_dim=12), st.floats(0.0, 1.0))
     @example(make_spectrum(WORKED), 0.1)
@@ -115,7 +114,7 @@ class TestEfficiencyQ:
     @example(make_spectrum([0.5, 0.5]), 1e-12)
     def test_planner_q_value_is_the_payoff_of_its_plan(self, s, u):
         d = s.dim
-        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        ref = 1.0 / d + u * (1.0 - 1.0 / d)
         out = optimal_plan_efficiency(s, ref)
         # Q is a difference of terms at most 1, hence the absolute floor
         assert out.q_value == pytest.approx(efficiency_q(s, out.plan.y, ref), rel=1e-9, abs=1e-14)
@@ -124,7 +123,7 @@ class TestEfficiencyQ:
 class TestOptimalPlan:
     def test_standard_concentration(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25))
+        out = optimal_plan_efficiency(s, 0.25)
         sq = s.sq_coeffs
         assert np.allclose(out.plan.y, [0.25, 1 / 3, 0.5, 1.0], atol=1e-12)
         assert out.p_success == 4 * s.min_sq
@@ -136,7 +135,7 @@ class TestOptimalPlan:
 
     def test_worked_crop(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3))
+        out = optimal_plan_efficiency(s, 0.3)
         assert out.plan.n_opt == 2
         assert out.plan.crop_level == pytest.approx(0.225, abs=1e-12)
         assert np.allclose(out.plan.x, [0.225, 0.225, 0.2, 0.1], atol=1e-12)
@@ -150,7 +149,7 @@ class TestOptimalPlan:
 
     def test_identity_wins_at_high_reference_purity(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.9))
+        out = optimal_plan_efficiency(s, 0.9)
         assert out.plan.n_opt == 0
         assert np.array_equal(out.plan.y, np.ones(4))
         assert np.array_equal(out.plan.x, s.sq_coeffs)
@@ -159,11 +158,11 @@ class TestOptimalPlan:
 
     def test_standard_detection_tolerance(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, np.nextafter(0.25, 1.0)))
+        out = optimal_plan_efficiency(s, np.nextafter(0.25, 1.0))
         assert out.plan.n_opt == 4  # still the closed-form standard branch
         # further above 1/D the reference gets its own level, which leaves the
         # smallest coefficient uncut
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25 + 1e-13))
+        out = optimal_plan_efficiency(s, 0.25 + 1e-13)
         assert out.plan.n_opt == 3
 
     @pytest.mark.parametrize("dim", [3, 4, 7, 1000, 1048568])
@@ -174,13 +173,16 @@ class TestOptimalPlan:
         above_one = (1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-13)
         views = [("c_ref_sq", v) for v in above_one]
         views += [("k_ref", dim), ("k_ref", dim + 1e-13)]
+        s = make_spectrum(np.arange(1.0, dim + 1.0), normalize=True)
         for kind, value in views:
-            assert reference_from(kind, value, dim).is_standard_concentration
+            out = optimal_plan_efficiency(s, reference_from(kind, value, dim))
+            assert out.plan.n_opt == dim
+            assert np.all(out.post_spectrum.sq_coeffs == 1.0 / dim)
 
     def test_reference_just_above_minimum_gets_its_own_level(self):
         d = 2**16
         s = dirichlet_spectrum(np.random.default_rng(3), d)
-        ref = ReferenceLevel(d, 1.0 / d + 5e-13)
+        ref = 1.0 / d + 5e-13
         out = optimal_plan_efficiency(s, ref)
         n_scan, level_scan = prefix_scan_efficiency(s, ref)
         assert out.plan.n_opt == n_scan
@@ -195,24 +197,24 @@ class TestOptimalPlan:
     def test_identity_starts_exactly_at_the_largest_coefficient(self, values):
         s = case_spectrum(values)
         top = s.max_sq
-        assert optimal_plan_efficiency(s, ReferenceLevel(s.dim, top)).plan.n_opt == 0
+        assert optimal_plan_efficiency(s, top).plan.n_opt == 0
         # one ulp below, the largest coefficient is cut, though the level may
         # round to max a^2 itself
-        plan = optimal_plan_efficiency(s, ReferenceLevel(s.dim, np.nextafter(top, 0.0))).plan
+        plan = optimal_plan_efficiency(s, np.nextafter(top, 0.0)).plan
         assert plan.n_opt >= 1
         assert plan.crop_level <= top
 
     def test_uniform_state_identity_for_any_reference(self):
         s = make_spectrum([0.25] * 4)
         for p_ref in (0.25, 0.5, 0.9, 1.0):
-            out = optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
+            out = optimal_plan_efficiency(s, p_ref)
             assert np.allclose(out.plan.y, 1.0, atol=1e-12)
             assert out.p_success == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_full_concentration_rejected(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
         with pytest.raises(RankDeficientFullConcentrationError):
-            optimal_plan_efficiency(s, ReferenceLevel(4, 0.25))
+            optimal_plan_efficiency(s, 0.25)
 
     def test_rank_deficient_below_support_rejected(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
@@ -220,13 +222,13 @@ class TestOptimalPlan:
         # more than rounding
         for p_ref in (0.4, 0.5 - 5e-13):
             with pytest.raises(RankDeficientFullConcentrationError):
-                optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
+                optimal_plan_efficiency(s, p_ref)
 
     def test_rank_deficient_feasible_reference_works(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
         # at 1/rank, and one ulp below it within the range-check slack
         for p_ref in (0.5, np.nextafter(0.5, 0.0)):
-            out = optimal_plan_efficiency(s, ReferenceLevel(4, p_ref))
+            out = optimal_plan_efficiency(s, p_ref)
             # support concentration: both live coefficients crop to 0.4-level
             assert out.p_success > 0.0
             assert np.min(out.plan.y) > 0.0
@@ -249,7 +251,7 @@ class TestOptimalPlan:
         # the rounding of the n = 2 step 2.5% above the root 1e-310, past
         # a_2^2, and the scan's count rounds P_ref * p_2 down to a_2^2
         s = make_spectrum(values)
-        ref = ReferenceLevel(s.dim, p_ref)
+        ref = p_ref
         out = optimal_plan_efficiency(s, ref)
         level = out.plan.crop_level
         assert level > 0.0
@@ -264,23 +266,18 @@ class TestOptimalPlan:
         dual = optimal_plan_fixed(s, FixedProbRequest(out.p_success))
         assert (dual.plan.crop_level, dual.plan.n_opt) == (level, 2)
 
-    def test_dimension_mismatch(self):
-        s = make_spectrum(WORKED)
-        with pytest.raises(DimensionMismatchError):
-            optimal_plan_efficiency(s, ReferenceLevel(5, 0.5))
-
 
 class TestApplyPlan:
     def test_identity_plan(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.9))
-        redo = apply_plan(s, out.plan, ReferenceLevel(4, 0.9))
+        out = optimal_plan_efficiency(s, 0.9)
+        redo = apply_plan(s, out.plan, 0.9)
         assert redo.p_success == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(redo.post_spectrum.sq_coeffs, s.sq_coeffs, atol=1e-12)
 
     def test_standard_concentration_arithmetic(self):
         s = make_spectrum(WORKED)
-        plan = optimal_plan_efficiency(s, ReferenceLevel(4, 0.25)).plan
+        plan = optimal_plan_efficiency(s, 0.25).plan
         redo = apply_plan(s, plan)
         assert redo.p_success == pytest.approx(0.4, abs=1e-12)
         assert np.allclose(redo.post_spectrum.sq_coeffs, 0.25, atol=1e-12)
@@ -288,7 +285,7 @@ class TestApplyPlan:
 
     def test_arbitrary_plan_evaluation(self):
         s = make_spectrum(WORKED)
-        base = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3)).plan
+        base = optimal_plan_efficiency(s, 0.3).plan
         plan = type(base)(
             x=s.sq_coeffs * [0.5, 2 / 3, 1.0, 1.0],
             n_opt=3,
@@ -304,7 +301,7 @@ class TestApplyPlan:
 
     def test_rejects_bad_plans(self):
         s = make_spectrum(WORKED)
-        plan = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3)).plan
+        plan = optimal_plan_efficiency(s, 0.3).plan
         with pytest.raises(DimensionMismatchError):
             apply_plan(make_spectrum([0.5, 0.5]), plan)
 
@@ -317,7 +314,7 @@ class TestPlanInvariants:
     @example(make_spectrum(WORKED), 1.0)
     def test_structure(self, s, u):
         d = s.dim
-        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        ref = 1.0 / d + u * (1.0 - 1.0 / d)
         out = optimal_plan_efficiency(s, ref)
         plan = out.plan
         sq = s.sq_coeffs
@@ -345,7 +342,7 @@ class TestPlanInvariants:
         assert out.q_value == pytest.approx(
             efficiency_q(s, plan.y, ref), abs=1e-10
         )
-        c_ref_sq = d / (d - 1.0) * (1.0 - ref.p_ref)
+        c_ref_sq = d / (d - 1.0) * (1.0 - ref)
         definition = out.p_success**2 * (out.post_measures.concurrence_sq - c_ref_sq)
         assert out.q_value == pytest.approx(definition, abs=1e-10)
         assert out.q_value >= -1e-15
@@ -365,7 +362,7 @@ class TestPlanInvariants:
         outs = []
         p_ref = 1.0 / d + u * (1.0 - 1.0 / d)
         if s.rank == d or p_ref >= 1.0 / s.rank:
-            outs.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)))
+            outs.append(optimal_plan_efficiency(s, p_ref))
         if u / d > 0.0:
             outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
         for out in outs:
@@ -383,7 +380,7 @@ class TestPlanInvariants:
         outs = []
         p_ref = 1.0 / d + u * (1.0 - 1.0 / d)
         if s.rank == d or p_ref >= 1.0 / s.rank:
-            outs.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)))
+            outs.append(optimal_plan_efficiency(s, p_ref))
         if u / d > 0.0:
             outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
         elif u > 0.0:
@@ -402,7 +399,7 @@ class TestPlanInvariants:
             d = int(rng.integers(3, 12))
             s = dirichlet_spectrum(rng, d)
             grid = np.geomspace(1.0 / d, 1.0, 40)[::-1]  # descending P_ref
-            outs = [optimal_plan_efficiency(s, ReferenceLevel(d, p)) for p in grid]
+            outs = [optimal_plan_efficiency(s, p) for p in grid]
             n_opts = np.array([o.plan.n_opt for o in outs])
             probs = np.array([o.p_success for o in outs])
             # n_opt nonincreasing in P_ref, p_success nondecreasing in P_ref
@@ -416,7 +413,7 @@ class TestPlanInvariants:
             s = haar(16, 3000 + seed)
             c_init_sq = measures(s).concurrence_sq
             ref = reference_from("c_ref_sq", 0.98 * c_init_sq, 16)
-            assert ref.p_ref > measures(s).purity
+            assert ref > measures(s).purity
             out = optimal_plan_efficiency(s, ref)
             hits += out.plan.n_opt >= 1
         assert hits == 10
@@ -424,7 +421,7 @@ class TestPlanInvariants:
     @given(spectra(min_dim=3, max_dim=9), st.floats(0.02, 1.0))
     def test_beats_random_points(self, s, u):
         d = s.dim
-        ref = ReferenceLevel(d, 1.0 / d + u * (1.0 - 1.0 / d))
+        ref = 1.0 / d + u * (1.0 - 1.0 / d)
         out = optimal_plan_efficiency(s, ref)
         rng = np.random.default_rng(7)
         ys = rng.uniform(size=(200, d))

@@ -5,7 +5,6 @@ import hypothesis.strategies as st
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     duality_check,
     enumerate_fixed_configurations,
     make_spectrum,
@@ -125,7 +124,7 @@ class TestOptimalPlanFixed:
 class TestDuality:
     def test_worked_example(self):
         s = make_spectrum(WORKED)
-        assert duality_check(s, ReferenceLevel(4, 0.3))
+        assert duality_check(s, 0.3)
         # arithmetic behind it: p_fix = 0.75 gives kappa_2 = 0.225 = alpha
         eff_p = 0.75
         kappa_2 = (eff_p - 0.3) / 2
@@ -134,11 +133,11 @@ class TestDuality:
     def test_uniform_state(self):
         s = make_spectrum([0.25] * 4)
         for p_ref in (0.25, 0.6, 1.0):
-            assert duality_check(s, ReferenceLevel(4, p_ref))
+            assert duality_check(s, p_ref)
 
     def test_standard_concentration_endpoint(self):
         s = make_spectrum(WORKED)
-        assert duality_check(s, ReferenceLevel(4, 0.25))
+        assert duality_check(s, 0.25)
 
     def test_random_instances(self):
         rng = np.random.default_rng(17)

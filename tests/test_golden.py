@@ -20,7 +20,6 @@ from hypothesis import given
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     io,
     make_spectrum,
     optimal_plan_efficiency,
@@ -181,7 +180,7 @@ def test_plan_vectors_match_digest(name):
     if planner == "efficiency":
         low = 1.0 / s.rank  # the standard concentration 1/D on the positive draw
         refs = [low, 1.3 * low, 2.0 * low, 3.0 * low, 0.5 * (top + 3.0 * low), top, 1.0]
-        outs = [optimal_plan_efficiency(s, ReferenceLevel(d, p)) for p in refs]
+        outs = [optimal_plan_efficiency(s, p) for p in refs]
     else:
         fixes = [1e-9, 1.0 / d, 0.01, 0.3, 0.9, float(np.add.reduce(s.sq_coeffs)), 1.0]
         outs = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
@@ -199,7 +198,7 @@ def test_one_identity_outcome_per_spectrum():
     for values in (SMALL, SIGNED_ZERO):
         s = make_spectrum(values)
         refs, fixes = [s.max_sq, 0.75, 1.0], [s.total, 1.0]
-        effs = [optimal_plan_efficiency(s, ReferenceLevel(s.dim, p)) for p in refs]
+        effs = [optimal_plan_efficiency(s, p) for p in refs]
         fixed = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
         assert len({id(o.post_spectrum) for o in effs + fixed}) == 1
         assert len({o.q_value for o in effs}) == 3

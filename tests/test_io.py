@@ -5,7 +5,6 @@ import pytest
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     SchmidtSpectrum,
     make_spectrum,
     optimal_plan_efficiency,
@@ -71,6 +70,18 @@ class TestSpectrumRoundTrip:
         with pytest.raises(SchemaError):
             io.read_spectrum(path)
 
+    @pytest.mark.parametrize("document", [
+        '{"dim": true, "squared_coefficients": [0.5, 0.5]}',
+        '{"dim": false, "squared_coefficients": []}',
+        '{"dim": 2.0, "squared_coefficients": [0.5, 0.5]}',
+        '{"dim": 2, "squared_coefficients": 0.5}',
+    ], ids=["dim-true", "dim-false", "dim-float", "coefficients-scalar"])
+    def test_wrong_field_types(self, tmp_path, document):
+        path = tmp_path / "s.json"
+        path.write_text(document)
+        with pytest.raises(SchemaError, match=": wrong field types$"):
+            io.read_spectrum(path)
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             io.read_spectrum(tmp_path / "absent.json")
@@ -81,7 +92,7 @@ class TestSpectrumRoundTrip:
 @pytest.mark.xfail(strict=True, reason="read_spectrum divides by the float sum again")
 def test_spectrum_file_round_trip(tmp_path):
     # numpy sums fewer than 8 values in order: 0.7 + 0.2 + 0.1 is 0.9999999999999999
-    s = SchmidtSpectrum(3, [0.7, 0.2, 0.1])
+    s = SchmidtSpectrum([0.7, 0.2, 0.1])
     path = tmp_path / "s.json"
     io.write_spectrum(s, path)
     assert io.read_spectrum(path).sq_coeffs.tobytes() == s.sq_coeffs.tobytes()
@@ -96,7 +107,7 @@ def test_json_pieces_refuses_what_the_package_never_writes(value):
 class TestOutcomeRoundTrip:
     def test_efficiency_outcome(self, tmp_path):
         s = make_spectrum(WORKED)
-        out = optimal_plan_efficiency(s, ReferenceLevel(4, 0.3))
+        out = optimal_plan_efficiency(s, 0.3)
         path = tmp_path / "o.json"
         io.write_json(io.outcome_dict(out, "efficiency", 0.3), path)
         back = json.loads(path.read_text())

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from schmidt_forge import (
-    ReferenceLevel,
     appendix_a_check,
     appendix_b_check,
     best_zero_face_gain,
@@ -60,7 +59,7 @@ def _top_prefix_rows(report, s):
 class TestEnumerate:
     def test_worked_three_level_case(self):
         s = make_spectrum([0.5, 0.3, 0.2])
-        report = enumerate_configurations(s, ReferenceLevel(3, 0.4))
+        report = enumerate_configurations(s, 0.4)
         assert report.best_q == pytest.approx(0.055, abs=1e-12)
         assert np.allclose(report.best_y, [2 / 3, 1.0, 1.0], atol=1e-12)
         # row 0 is the identity corner, then the 7 nonempty interior sets
@@ -69,13 +68,13 @@ class TestEnumerate:
 
     def test_uniform_state_zero_payoff(self):
         s = make_spectrum([1 / 3] * 3)
-        report = enumerate_configurations(s, ReferenceLevel(3, 1 / 3))
+        report = enumerate_configurations(s, 1 / 3)
         assert report.best_q == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(report.best_y, 1.0, atol=1e-12)
 
     def test_reference_purity_one_picks_identity(self):
         s = make_spectrum([0.5, 0.3, 0.2])
-        report = enumerate_configurations(s, ReferenceLevel(3, 1.0))
+        report = enumerate_configurations(s, 1.0)
         purity = measures(s).purity
         assert report.best_q == pytest.approx(1.5 * (1.0 - purity), abs=1e-12)
         assert np.allclose(report.best_y, 1.0, atol=1e-15)
@@ -84,10 +83,10 @@ class TestEnumerate:
         rng = np.random.default_rng(0)
         s = dirichlet_spectrum(rng, 15)
         with pytest.raises(DimensionTooLargeError):
-            enumerate_configurations(s, ReferenceLevel(15, 0.5))
+            enumerate_configurations(s, 0.5)
         s9 = dirichlet_spectrum(rng, 9)
         with pytest.raises(DimensionTooLargeError):
-            best_zero_face_gain(s9, ReferenceLevel(9, 0.5))
+            best_zero_face_gain(s9, 0.5)
 
     def test_agreement_with_planner(self):
         rng = np.random.default_rng(101)
@@ -185,7 +184,7 @@ class TestNumericAscent:
 
     def test_analytic_start_is_stationary(self):
         s = make_spectrum([0.4, 0.3, 0.2, 0.1])
-        ref = ReferenceLevel(4, 0.3)
+        ref = 0.3
         report = numeric_qp_ascent(s, ref, restarts=1, seed=0)
         assert report.converged
         assert report.delta_y_relative == pytest.approx(0.0, abs=1e-12)
@@ -194,12 +193,12 @@ class TestNumericAscent:
     def test_parameter_validation(self):
         s = make_spectrum([0.5, 0.5])
         with pytest.raises(ValueError):
-            numeric_qp_ascent(s, ReferenceLevel(2, 0.7), restarts=0)
+            numeric_qp_ascent(s, 0.7, restarts=0)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         s = dirichlet_spectrum(rng, 6)
-        ref = ReferenceLevel(6, 0.4)
+        ref = 0.4
         a = numeric_qp_ascent(s, ref, restarts=4, seed=9)
         b = numeric_qp_ascent(s, ref, restarts=4, seed=9)
         assert np.array_equal(a.best_y, b.best_y)
@@ -272,19 +271,19 @@ class TestAppendixB:
     def test_diagonal_pi_no_penalty(self):
         s = make_spectrum([0.6, 0.4])
         pi = np.diag([0.9, 0.3])
-        q_full, q_diag = appendix_b_check(s, pi, ReferenceLevel(2, 0.7))
+        q_full, q_diag = appendix_b_check(s, pi, 0.7)
         assert q_full == q_diag
 
     def test_worked_pair(self):
         s = make_spectrum([0.5, 0.5])
         pi = np.array([[0.5, 0.1], [0.1, 0.5]])
-        q_full, q_diag = appendix_b_check(s, pi, ReferenceLevel(2, 0.6))
+        q_full, q_diag = appendix_b_check(s, pi, 0.6)
         assert q_full == pytest.approx(0.04, abs=1e-15)
         assert q_diag == pytest.approx(0.05, abs=1e-15)
 
     def test_validation_errors(self):
         s = make_spectrum([0.5, 0.5])
-        ref = ReferenceLevel(2, 0.6)
+        ref = 0.6
         with pytest.raises(NotPSDError):
             appendix_b_check(s, np.array([[1.0, 0.9], [0.2, 1.0]]), ref)  # not Hermitian
         with pytest.raises(NotPSDError):
@@ -386,7 +385,7 @@ class TestPrefixScanAtScale:
 
     @pytest.mark.parametrize("k_ref", [1.05, 1.5, 4.0])
     def test_efficiency(self, spectrum, k_ref):
-        ref = ReferenceLevel(self.D, k_ref / self.D)
+        ref = k_ref / self.D
         n_scan, level_scan = prefix_scan_efficiency(spectrum, ref)
         assert 0 < n_scan < self.D
         self._check(spectrum, optimal_plan_efficiency(spectrum, ref), n_scan, level_scan)
@@ -445,7 +444,7 @@ class TestFrontierBreakpoints:
         assert isolated.size >= min(dim - 2, 100)
         for n in isolated.tolist():
             for p_ref, expected in ((r[n - 1] * (1 - w), n), (r[n - 1] * (1 + w), n - 1)):
-                plan = optimal_plan_efficiency(s, ReferenceLevel(dim, p_ref)).plan
+                plan = optimal_plan_efficiency(s, p_ref).plan
                 assert plan.n_opt == expected
 
     @pytest.mark.parametrize("case", BOUNDARY_CASES, ids=str)
@@ -460,6 +459,6 @@ class TestFrontierBreakpoints:
                 assert prefix_scan_fixed(s, p_fix)[0] == plan.n_opt
         for p_ref in np.concatenate((r[ns - 1] * (1 - w), r[ns - 1] * (1 + w))).tolist():
             if 1.0 / s.rank + P_REF_TOL < p_ref <= 1.0:
-                ref = ReferenceLevel(s.dim, p_ref)
+                ref = p_ref
                 plan = optimal_plan_efficiency(s, ref).plan
                 assert prefix_scan_efficiency(s, ref)[0] == plan.n_opt

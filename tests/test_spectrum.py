@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     interpolate,
     make_spectrum,
     measures,
@@ -70,7 +69,7 @@ class TestMakeSpectrum:
         with pytest.raises(NonFiniteEntryError):
             make_spectrum([bad, 0.5, 0.5], normalize=True)
         with pytest.raises(NonFiniteEntryError):
-            SchmidtSpectrum(3, np.array([bad, 0.5, 0.5]))
+            SchmidtSpectrum(np.array([bad, 0.5, 0.5]))
 
     def test_overflowing_input_is_normalized(self):
         values = [1e308, 1e308]
@@ -165,23 +164,27 @@ NAN, INF = float("nan"), float("inf")
 
 class TestErrorPrecedence:
     """The first failed check wins, in the order non-finite, negative,
-    above 1, not normalized, whatever else is wrong with the input."""
+    not normalized, not 1-D with D >= 2, whatever else is wrong with the
+    input. The public constructor and make_spectrum share the one check."""
 
     @pytest.mark.parametrize("values, error, message", [
-        ([NAN, -0.5, 1.5], NonFiniteEntryError, "squared coefficients must be finite"),
-        ([-0.5, 1.5, NAN], NonFiniteEntryError, "squared coefficients must be finite"),
-        ([0.5, NAN, 0.5], NonFiniteEntryError, "squared coefficients must be finite"),
-        ([INF, -1.0], NonFiniteEntryError, "squared coefficients must be finite"),
-        ([2.0, -INF], NonFiniteEntryError, "squared coefficients must be finite"),
-        ([1.5, -0.5], NegativeEntryError, "squared coefficients must be nonnegative"),
-        ([-0.1, 0.5], NegativeEntryError, "squared coefficients must be nonnegative"),
-        ([1.5, 0.5], InvalidSpectrumError, "a squared coefficient exceeds 1"),
+        ([NAN, -0.5, 1.5], NonFiniteEntryError, "coefficients must be finite"),
+        ([-0.5, 1.5, NAN], NonFiniteEntryError, "coefficients must be finite"),
+        ([0.5, NAN, 0.5], NonFiniteEntryError, "coefficients must be finite"),
+        ([INF, -1.0], NonFiniteEntryError, "coefficients must be finite"),
+        ([2.0, -INF], NonFiniteEntryError, "coefficients must be finite"),
+        ([1.5, -0.5], NegativeEntryError, "coefficients must be nonnegative"),
+        ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
+        # a coefficient above 1 fails the sum check
+        ([1.5, 0.5], NotNormalizedError,
+         "squared coefficients sum to 2.0; pass normalize=True to rescale"),
         ([0.3, 0.3], NotNormalizedError,
-         "squared coefficients sum to 0.6, not 1 within 1e-12"),
+         "squared coefficients sum to 0.6; pass normalize=True to rescale"),
+        ([], EmptyInputError, "no coefficients given"),
     ])
     def test_stored_spectrum(self, values, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            SchmidtSpectrum(len(values), np.array(values))
+            SchmidtSpectrum(np.array(values))
 
     @pytest.mark.parametrize("values, error, message", [
         ([NAN, -0.5, 1.5], NonFiniteEntryError, "coefficients must be finite"),
@@ -196,18 +199,15 @@ class TestErrorPrecedence:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make_spectrum(values, normalize=normalize)
 
-    @pytest.mark.parametrize("dim, values, message", [
-        (4, np.full((2, 2), 0.25), "coefficients must be a 1-D array, not shape (2, 2)"),
-        (1, np.array(1.0), "coefficients must be a 1-D array, not shape ()"),
-        (3, np.array([0.5, 0.5]), "dim=3 does not match 2 coefficients"),
-        (1, np.array([1.0]), "a bipartite spectrum needs dim >= 2"),
+    @pytest.mark.parametrize("values, message", [
+        (np.full((2, 2), 0.25), "coefficients must be a 1-D array, not shape (2, 2)"),
+        (np.array(1.0), "coefficients must be a 1-D array, not shape ()"),
+        (np.array([1.0]), "a bipartite spectrum needs dim >= 2"),
     ])
-    def test_structure(self, dim, values, message):
-        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
-            SchmidtSpectrum(dim, values)
-        if values.size == dim:
+    def test_structure(self, values, message):
+        for build in (SchmidtSpectrum, make_spectrum):
             with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
-                make_spectrum(values)
+                build(values)
 
     @pytest.mark.parametrize("values, total", [([1.5, 0.0], "1.5"), ([0.3, 0.3], "0.6")])
     def test_ingest_bad_sum(self, values, total):
@@ -229,8 +229,8 @@ class TestImmutability:
         # the owner of a read-only array can make it writeable again
         owner = values.copy()
         owner.setflags(write=False)
-        built = [SchmidtSpectrum(2, values), SchmidtSpectrum(2, view), make_spectrum(values),
-                 SchmidtSpectrum(2, owner)]
+        built = [SchmidtSpectrum(values), SchmidtSpectrum(view), make_spectrum(values),
+                 SchmidtSpectrum(owner)]
         plan = ConcentrationPlan(x=owner, n_opt=0, crop_level=0.75, sq_coeffs=owner)
         owner.setflags(write=True)
         values[:] = owner[:] = [0.5, 0.5]
@@ -241,7 +241,7 @@ class TestImmutability:
 
     def test_stored_normalization_enforced(self):
         with pytest.raises(NotNormalizedError):
-            SchmidtSpectrum(2, np.array([0.5, 0.5 + 1e-9]))
+            SchmidtSpectrum(np.array([0.5, 0.5 + 1e-9]))
 
 
 S5 = [0.4, 0.25, 0.15, 0.12, 0.08]
@@ -252,10 +252,10 @@ class TestPlannerOutputs:
     copy: it must be read-only and share no memory with the input."""
 
     @pytest.mark.parametrize("run, n_opt", [
-        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.2)), 5),
-        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.9)), 0),
-        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.9), _Sweep(s)), 0),
-        (lambda s: optimal_plan_efficiency(s, ReferenceLevel(5, 0.3)), 1),
+        (lambda s: optimal_plan_efficiency(s, 0.2), 5),
+        (lambda s: optimal_plan_efficiency(s, 0.9), 0),
+        (lambda s: optimal_plan_efficiency(s, 0.9, _Sweep(s)), 0),
+        (lambda s: optimal_plan_efficiency(s, 0.3), 1),
         (lambda s: optimal_plan_fixed(s, FixedProbRequest(0.5)), 4),
         (lambda s: optimal_plan_fixed(s, FixedProbRequest(1.0)), 0),
         (lambda s: interpolate(s, 0.5), None),
@@ -293,21 +293,21 @@ class TestDerivedSpectra:
     @example(make_spectrum([0.6, 0.0, 0.4]), 0.5, 0.5)  # P_ref = 1/rank
     def test_planner_and_interpolation_spectra(self, s, p_ref, p_fix):
         d = s.dim
-        identity = optimal_plan_efficiency(s, ReferenceLevel(d, 1.0))
+        identity = optimal_plan_efficiency(s, 1.0)
         assert identity.plan.n_opt == 0
         derived = [identity.post_spectrum]
         p_ref = max(p_ref, 1.0 / d)
         if p_ref >= 1.0 / s.rank:
-            derived.append(optimal_plan_efficiency(s, ReferenceLevel(d, p_ref)).post_spectrum)
+            derived.append(optimal_plan_efficiency(s, p_ref).post_spectrum)
         if p_fix / d > 0.0:
             derived.append(optimal_plan_fixed(s, FixedProbRequest(p_fix)).post_spectrum)
         if s.rank == d:
-            standard = optimal_plan_efficiency(s, ReferenceLevel(d, 1.0 / d))
+            standard = optimal_plan_efficiency(s, 1.0 / d)
             assert standard.plan.n_opt == d
             derived.append(standard.post_spectrum)
             derived += [interpolate(s, xi).spectrum for xi in (1.0, 1e-300)]
         for t in derived:
-            SchmidtSpectrum(d, np.array(t.sq_coeffs))
+            SchmidtSpectrum(np.array(t.sq_coeffs))
 
     @given(spectra(max_dim=10, zeros=True), st.floats(1e-300, 1e300))
     def test_ingested_spectra(self, s, scale):
@@ -318,13 +318,13 @@ class TestDerivedSpectra:
             make_spectrum(sq * scale, normalize=True),
             make_spectrum([1e308, 1e308], normalize=True),
         ):
-            SchmidtSpectrum(t.dim, np.array(t.sq_coeffs))
+            SchmidtSpectrum(np.array(t.sq_coeffs))
 
     @pytest.mark.parametrize("values, error", [
         ([0.7, 0.7], NotNormalizedError),
         ([NAN, 0.5, 0.5], NonFiniteEntryError),
         ([1.5, -0.5], NegativeEntryError),
-        ([1.5, 0.0], InvalidSpectrumError),
+        ([1.0], InvalidSpectrumError),
     ])
     def test_caller_read_only_array_is_checked(self, values, error):
         # a read-only array that owns its memory is still the caller's
@@ -332,4 +332,4 @@ class TestDerivedSpectra:
         arr.setflags(write=False)
         assert arr.flags.owndata
         with pytest.raises(error):
-            SchmidtSpectrum(arr.size, arr)
+            SchmidtSpectrum(arr)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from schmidt_forge import (
     FixedProbRequest,
-    ReferenceLevel,
     SchmidtSpectrum,
     make_spectrum,
     optimal_plan_efficiency,
@@ -39,7 +38,7 @@ def sweep_spectra(draw):
         values = [c / total for c in counts] + [(total - sum(counts)) / total]
         # a subnormal leaves the sum within NORM_TOL of 1
         values = [draw(extras) if v == 0.0 else v for v in values]
-        return SchmidtSpectrum(d, draw(st.permutations(values)))
+        return SchmidtSpectrum(draw(st.permutations(values)))
     entry = extras | st.floats(1e-3, 1.0)
     values = draw(st.lists(entry, min_size=d, max_size=d).filter(lambda v: max(v) >= 1e-3))
     return make_spectrum(values, normalize=True)
@@ -70,7 +69,7 @@ def _per_point(s, mode, grid):
     for v in grid:
         try:
             if mode == "efficiency":
-                o = optimal_plan_efficiency(s, ReferenceLevel(s.dim, v))
+                o = optimal_plan_efficiency(s, v)
             else:
                 o = optimal_plan_fixed(s, FixedProbRequest(v))
         except SchmidtForgeError as exc:
