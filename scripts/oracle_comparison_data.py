@@ -9,8 +9,9 @@ against the closed-form plan. Both columns should sit at rounding level.
 import argparse
 from pathlib import Path
 
-from schmidt_forge import numeric_qp_ascent, sample_haar_spectrum
+from schmidt_forge import sample_haar_spectrum
 from schmidt_forge.io import write_csv
+from schmidt_forge.oracle import numeric_qp_ascent
 
 import numpy as np
 

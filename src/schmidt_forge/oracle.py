@@ -142,22 +142,19 @@ def efficiency_q(s: SchmidtSpectrum, y, p_ref: float) -> float:
     return _scale(s.dim) * _payoff(p_ref, _check_box(s, y))
 
 
-def apply_plan(
-    s: SchmidtSpectrum, plan: ConcentrationPlan, p_ref: float | None = None
-) -> ConcentrationOutcome:
+def apply_plan(s: SchmidtSpectrum, plan: ConcentrationPlan) -> ConcentrationOutcome:
     """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
 
     Everything is recomputed from ``plan.y``, so this doubles as an
-    independent check of planner-built outcomes. ``q_value`` is filled only
-    when a reference purity is supplied.
+    independent check of planner-built outcomes. ``q_value`` is None: the
+    payoff at a reference purity is ``efficiency_q(s, plan.y, p_ref)``.
     """
     x = _check_box(s, plan.y)
     p_success = float(np.add.reduce(x))
     if p_success <= 0.0:
         raise InfeasibleError("plan has zero success probability")
     post = SchmidtSpectrum(x / p_success)
-    q = efficiency_q(s, plan.y, p_ref) if p_ref is not None else None
-    return ConcentrationOutcome(plan, p_success, post, measures(post), q)
+    return ConcentrationOutcome(plan, p_success, post, measures(post), None)
 
 
 def duality_check(s: SchmidtSpectrum, p_ref: float) -> bool:

@@ -61,9 +61,10 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float]:
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > tol:
-        raise NotNormalizedError(
-            f"squared coefficients sum to {total!r}; pass normalize=True to rescale"
-        )
+        # only the constructor checks at NORM_TOL, and it has no normalize
+        how = ("use make_spectrum(values, normalize=True)" if tol == NORM_TOL
+               else "pass normalize=True")
+        raise NotNormalizedError(f"squared coefficients sum to {total!r}; {how} to rescale")
     if arr.ndim != 1:
         raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {arr.shape}")
     if arr.size < 2:

@@ -12,20 +12,22 @@ import pytest
 
 from schmidt_forge import (
     FixedProbRequest,
-    apply_plan,
-    appendix_a_check,
-    appendix_b_check,
-    duality_check,
-    enumerate_configurations,
-    interp_sweep,
     make_spectrum,
     measures,
-    numeric_qp_ascent,
     optimal_plan_efficiency,
     optimal_plan_fixed,
     sample_haar_spectrum,
 )
-from schmidt_forge.oracle import sample_psd_contraction
+from schmidt_forge.interp import interp_sweep
+from schmidt_forge.oracle import (
+    appendix_a_check,
+    appendix_b_check,
+    apply_plan,
+    duality_check,
+    enumerate_configurations,
+    numeric_qp_ascent,
+    sample_psd_contraction,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

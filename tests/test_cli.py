@@ -572,22 +572,37 @@ def test_cli_import_leaves_oracle_unloaded(tmp_path):
 
 
 def test_package_exports_resolve():
-    # the oracle names load lazily, so only getattr shows that each one exists
     import schmidt_forge
 
     assert schmidt_forge.__all__ == [
         "ConcentrationOutcome", "ConcentrationPlan", "FixedProbRequest", "InterpPoint",
-        "Measures", "OracleReport", "SchmidtForgeError", "SchmidtSpectrum",
-        "appendix_a_check", "appendix_b_check", "apply_plan", "best_zero_face_gain",
-        "duality_check", "efficiency_q", "enumerate_configurations",
-        "enumerate_fixed_configurations", "interp_sweep", "interpolate", "make_spectrum",
-        "measures", "numeric_qp_ascent", "optimal_plan_efficiency", "optimal_plan_fixed",
-        "reference_from", "relative_diffs", "run_validation", "sample_haar_spectrum",
-        "sort_descending", "sweep_table",
+        "Measures", "SchmidtForgeError", "SchmidtSpectrum", "interpolate",
+        "make_spectrum", "measures", "optimal_plan_efficiency", "optimal_plan_fixed",
+        "reference_from", "sample_haar_spectrum", "sweep_table",
     ]
-    assert schmidt_forge._ORACLE_NAMES <= set(schmidt_forge.__all__)
     for name in schmidt_forge.__all__:
         assert getattr(schmidt_forge, name) is not None, name
+
+
+def test_package_root_is_the_library():
+    # the root neither imports the oracle nor names a verifier, or a name that
+    # only the tests and the benchmark reach; the verifiers live in the oracle
+    verifiers = [
+        "OracleReport", "appendix_a_check", "appendix_b_check", "apply_plan",
+        "best_zero_face_gain", "duality_check", "efficiency_q", "enumerate_configurations",
+        "enumerate_fixed_configurations", "numeric_qp_ascent", "relative_diffs",
+        "run_validation",
+    ]
+    absent = verifiers + ["sort_descending", "interp_sweep"]
+    check = ("import sys, schmidt_forge; "
+             "sys.exit(('schmidt_forge.oracle' in sys.modules) + "
+             f"2 * any(hasattr(schmidt_forge, n) for n in {absent!r}))")
+    src = str(Path(io.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    namespace = {}
+    exec(f"from schmidt_forge.oracle import {', '.join(verifiers)}", namespace)
+    assert all(namespace[name] is not None for name in verifiers)
 
 
 #: a complete argv of each subcommand: its required options, each one with

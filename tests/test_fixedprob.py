@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from schmidt_forge import (
-    FixedProbRequest,
-    duality_check,
-    enumerate_fixed_configurations,
-    make_spectrum,
-    measures,
-    optimal_plan_fixed,
-    sort_descending,
-)
+from schmidt_forge import FixedProbRequest, make_spectrum, measures, optimal_plan_fixed
 from schmidt_forge.errors import PFixOutOfRangeError
+from schmidt_forge.oracle import duality_check, enumerate_fixed_configurations
+from schmidt_forge.spectrum import sort_descending
 
 from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, random_reference, spectra
 

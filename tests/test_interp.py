@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from schmidt_forge import interp_sweep, interpolate, make_spectrum
+from schmidt_forge import interpolate, make_spectrum
 from schmidt_forge.errors import RankDeficientError, XiOutOfRangeError
+from schmidt_forge.interp import interp_sweep
 
 from helpers import spectra
 

@@ -4,20 +4,11 @@ import numpy as np
 import pytest
 
 from schmidt_forge import (
-    appendix_a_check,
-    appendix_b_check,
-    best_zero_face_gain,
-    enumerate_configurations,
-    enumerate_fixed_configurations,
     make_spectrum,
     measures,
-    numeric_qp_ascent,
     optimal_plan_efficiency,
     optimal_plan_fixed,
     FixedProbRequest,
-    relative_diffs,
-    run_validation,
-    sort_descending,
 )
 from schmidt_forge.errors import (
     DimensionMismatchError,
@@ -31,11 +22,20 @@ from schmidt_forge.efficiency import P_REF_TOL
 from schmidt_forge.oracle import (
     MIN_VALIDATION_DIM,
     ValidationResult,
+    appendix_a_check,
+    appendix_b_check,
+    best_zero_face_gain,
+    enumerate_configurations,
+    enumerate_fixed_configurations,
     frontier,
+    numeric_qp_ascent,
     prefix_scan_efficiency,
     prefix_scan_fixed,
+    relative_diffs,
+    run_validation,
     sample_psd_contraction,
 )
+from schmidt_forge.spectrum import sort_descending
 
 from helpers import (
     BOUNDARY_CASES,

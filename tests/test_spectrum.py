@@ -13,7 +13,6 @@ from schmidt_forge import (
     measures,
     optimal_plan_efficiency,
     optimal_plan_fixed,
-    sort_descending,
 )
 from schmidt_forge.efficiency import ConcentrationPlan, _Sweep
 from schmidt_forge.errors import (
@@ -23,7 +22,7 @@ from schmidt_forge.errors import (
     NonFiniteEntryError,
     NotNormalizedError,
 )
-from schmidt_forge.spectrum import SchmidtSpectrum
+from schmidt_forge.spectrum import SchmidtSpectrum, sort_descending
 
 from helpers import spectra
 
@@ -177,9 +176,9 @@ class TestErrorPrecedence:
         ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
         # a coefficient above 1 fails the sum check
         ([1.5, 0.5], NotNormalizedError,
-         "squared coefficients sum to 2.0; pass normalize=True to rescale"),
+         "squared coefficients sum to 2.0; use make_spectrum(values, normalize=True) to rescale"),
         ([0.3, 0.3], NotNormalizedError,
-         "squared coefficients sum to 0.6; pass normalize=True to rescale"),
+         "squared coefficients sum to 0.6; use make_spectrum(values, normalize=True) to rescale"),
         ([], EmptyInputError, "no coefficients given"),
     ])
     def test_stored_spectrum(self, values, error, message):
