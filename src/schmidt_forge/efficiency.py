@@ -142,9 +142,7 @@ def _level_plan(s: SchmidtSpectrum, level: float, n: int) -> ConcentrationPlan:
     return ConcentrationPlan._adopt(np.minimum(sq, level), n, float(level), sq)
 
 
-def _outcome_from_plan(
-    s: SchmidtSpectrum, plan: ConcentrationPlan, q_value: float | None
-) -> ConcentrationOutcome:
+def _outcome_from_plan(plan: ConcentrationPlan, q_value: float | None) -> ConcentrationOutcome:
     p_success = float(np.add.reduce(plan.x))
     # 0 <= x_m <= a^2 is finite and p_success > 0 (the level is positive), so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
@@ -158,7 +156,7 @@ def _identity(s: SchmidtSpectrum) -> tuple[ConcentrationOutcome, float]:
     cache, sq = s.__dict__, s.sq_coeffs
     if "_identity" not in cache:
         plan = _level_plan(s, s.max_sq, 0)
-        cache["_identity"] = _outcome_from_plan(s, plan, None), float(sq @ sq)
+        cache["_identity"] = _outcome_from_plan(plan, None), float(sq @ sq)
     return cache["_identity"]
 
 
@@ -312,4 +310,4 @@ def optimal_plan_efficiency(
     piece = None if _sweep is None else _sweep.piece(p_ref)
     level, n, rest, beta = _efficiency_level(s.sq_coeffs, p_ref, top, piece)
     q = _scale(d) * (level * beta - float(rest @ rest))
-    return _outcome_from_plan(s, _level_plan(s, level, n), q)
+    return _outcome_from_plan(_level_plan(s, level, n), q)

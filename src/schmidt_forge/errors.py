@@ -1,7 +1,10 @@
 """Exception hierarchy and input guards shared across the package.
 
 Every domain error derives from :class:`SchmidtForgeError` so callers (and the
-CLI) can catch one base class and report the concrete error name.
+CLI) can catch one base class and report the concrete error name. Each class
+is an error a command can print, except ``InfeasibleError``, the planners'
+underflow guard. The verifiers in ``oracle`` reject bad arguments with a plain
+``ValueError``.
 """
 
 #: largest dimension exhaustive enumeration accepts
@@ -52,36 +55,16 @@ class OutOfRangeError(SchmidtForgeError):
     """A reference value lies outside its valid range for the dimension."""
 
 
-class YOutOfBoxError(SchmidtForgeError):
-    """A Kraus weight vector left the unit box [0, 1]^D."""
-
-
-class DimensionMismatchError(SchmidtForgeError):
-    """Vector lengths or dimensions do not agree."""
-
-
 class PFixOutOfRangeError(SchmidtForgeError):
     """Fixed success probability outside (0, 1]."""
 
 
 class InfeasibleError(SchmidtForgeError):
-    """No feasible plan exists (guarded; unreachable for valid inputs)."""
+    """A planner's water level underflowed to 0 (guarded; unreachable for valid inputs)."""
 
 
 class DimensionTooLargeError(SchmidtForgeError):
-    """Exhaustive enumeration or sampling was requested above its cost guard."""
-
-
-class NotPSDError(SchmidtForgeError):
-    """A matrix that must be positive semidefinite is not."""
-
-
-class SpectralBoundViolatedError(SchmidtForgeError):
-    """A positive operator has an eigenvalue above one."""
-
-
-class DivisionByZeroGuardError(SchmidtForgeError):
-    """A relative-difference metric is undefined (zero denominator)."""
+    """Sampling was requested above its dimension cap."""
 
 
 class ParseError(SchmidtForgeError):

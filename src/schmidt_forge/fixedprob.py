@@ -72,4 +72,4 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
         )
     if p_fix >= s.total:
         return _identity(s)[0]
-    return _outcome_from_plan(s, _level_plan(s, *_fixed_level(s.sq_coeffs, p_fix)), None)
+    return _outcome_from_plan(_level_plan(s, *_fixed_level(s.sq_coeffs, p_fix)), None)

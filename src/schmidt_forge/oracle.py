@@ -31,6 +31,11 @@ The module also carries the relative-difference metrics used to compare the
 two routes, and direct checks of two structural facts: the unreferenced
 payoff p^2 C^2 is maximized by doing nothing, and off-diagonal filter
 components can only lower the payoff.
+
+Every verifier rejects a bad argument (a wrong shape, a point off the box, a
+dimension above an enumeration guard) with ``ValueError``; a
+``SchmidtForgeError`` that escapes one comes from the planner or spectrum
+under check.
 """
 
 from __future__ import annotations
@@ -49,18 +54,7 @@ from .efficiency import (
     _y_of,
     optimal_plan_efficiency,
 )
-from .errors import (
-    MAX_ENUM_DIM,
-    MIN_VALIDATION_DIM,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    DivisionByZeroGuardError,
-    InfeasibleError,
-    NotPSDError,
-    SchmidtForgeError,
-    SpectralBoundViolatedError,
-    YOutOfBoxError,
-)
+from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .sampling import _one_spectrum
 from .spectrum import SchmidtSpectrum, frontier, measures
@@ -111,7 +105,7 @@ def _active_sets(sq: np.ndarray):
     and gamma = sum a^4 outside it, and the smallest a^2 inside it.
     Guarded to D <= MAX_ENUM_DIM."""
     if sq.size > MAX_ENUM_DIM:
-        raise DimensionTooLargeError(f"enumeration guarded to D <= {MAX_ENUM_DIM}")
+        raise ValueError(f"enumeration guarded to D <= {MAX_ENUM_DIM}")
     inner = _subset_masks(sq.size)[1:]
     outer = ~inner
     n = inner.sum(axis=1)
@@ -131,9 +125,9 @@ def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
     """The coefficients x = a^2 * y of a box point y of the spectrum's dimension."""
     y = np.asarray(y, dtype=float)
     if y.shape != (s.dim,):
-        raise DimensionMismatchError(f"y has shape {y.shape}, expected ({s.dim},)")
+        raise ValueError(f"y has shape {y.shape}, expected ({s.dim},)")
     if np.any(y < -FEAS_TOL) or np.any(y > 1.0 + FEAS_TOL):
-        raise YOutOfBoxError("y leaves the box [0, 1]^D")
+        raise ValueError("y leaves the box [0, 1]^D")
     return s.sq_coeffs * y
 
 
@@ -152,7 +146,7 @@ def apply_plan(s: SchmidtSpectrum, plan: ConcentrationPlan) -> ConcentrationOutc
     x = _check_box(s, plan.y)
     p_success = float(np.add.reduce(x))
     if p_success <= 0.0:
-        raise InfeasibleError("plan has zero success probability")
+        raise ValueError("plan has zero success probability")
     post = SchmidtSpectrum(x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), None)
 
@@ -175,13 +169,11 @@ def relative_diffs(y_num, y_alg, q_num: float, q_alg: float) -> tuple[float, flo
     y_num = np.asarray(y_num, dtype=float)
     y_alg = np.asarray(y_alg, dtype=float)
     if y_num.shape != y_alg.shape:
-        raise DimensionMismatchError(
-            f"y vectors have shapes {y_num.shape} and {y_alg.shape}"
-        )
+        raise ValueError(f"y vectors have shapes {y_num.shape} and {y_alg.shape}")
     if np.any(y_num == 0.0):
-        raise DivisionByZeroGuardError("y_num has a zero entry")
+        raise ValueError("y_num has a zero entry")
     if q_num == 0.0:
-        raise DivisionByZeroGuardError("q_num is zero")
+        raise ValueError("q_num is zero")
     delta_y = float(np.mean(np.abs((y_num - y_alg) / y_num)))
     delta_q = float(abs((q_num - q_alg) / q_num))
     return delta_y, delta_q
@@ -237,9 +229,7 @@ def best_zero_face_gain(s: SchmidtSpectrum, p_ref: float) -> float:
     """
     d = s.dim
     if d > MAX_ZERO_FACE_DIM:
-        raise DimensionTooLargeError(
-            f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}"
-        )
+        raise ValueError(f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}")
     sq = s.sq_coeffs
     best = float(np.max(_efficiency_table(sq, p_ref)[1]))
     faces = max(
@@ -356,7 +346,7 @@ def numeric_qp_ascent(
     if alg is not None:
         try:
             delta_y, delta_q = relative_diffs(best_y, alg.plan.y, best_q, alg.q_value)
-        except DivisionByZeroGuardError:
+        except ValueError:
             pass
 
     return OracleReport(
@@ -430,16 +420,14 @@ def appendix_b_check(
     pi = np.asarray(pi, dtype=complex)
     d = s.dim
     if pi.shape != (d, d):
-        raise DimensionMismatchError(f"pi has shape {pi.shape}, expected ({d}, {d})")
+        raise ValueError(f"pi has shape {pi.shape}, expected ({d}, {d})")
     if not np.allclose(pi, pi.conj().T, atol=1e-10):
-        raise NotPSDError("pi is not Hermitian")
+        raise ValueError("pi is not Hermitian")
     evals = np.linalg.eigvalsh((pi + pi.conj().T) / 2.0)
     if float(evals.min()) < -1e-10:
-        raise NotPSDError(f"pi has negative eigenvalue {float(evals.min())!r}")
+        raise ValueError(f"pi has negative eigenvalue {float(evals.min())!r}")
     if float(evals.max()) > 1.0 + 1e-10:
-        raise SpectralBoundViolatedError(
-            f"pi has eigenvalue {float(evals.max())!r} above 1"
-        )
+        raise ValueError(f"pi has eigenvalue {float(evals.max())!r} above 1")
     sq = s.sq_coeffs
     scale = _scale(d)
     diag = np.real(np.diag(pi))

@@ -1,12 +1,14 @@
 """Shared strategies and generators for the test suite."""
 
+import contextlib
 import itertools
 from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 
-from schmidt_forge import make_spectrum, sample_haar_spectrum
+from schmidt_forge import SchmidtForgeError, make_spectrum, sample_haar_spectrum
 
 
 @st.composite
@@ -87,6 +89,15 @@ def reference_render(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+@contextlib.contextmanager
+def verifier_rejects(match=None):
+    """The block raises a verifier's argument error: a plain ValueError, never
+    a domain error."""
+    with pytest.raises(ValueError, match=match) as info:
+        yield
+    assert not isinstance(info.value, SchmidtForgeError)
 
 
 def inject_fault(monkeypatch, suite: int, value: float, every: int = 1) -> str:

@@ -151,10 +151,32 @@ class TestConcentrateCommand:
         assert data["p_ref"] == 1.0
         assert data["n_opt"] == 0
 
-    def test_domain_error_exit_code(self, worked_spectrum, capsys):
-        code = main(["concentrate", "--spectrum", str(worked_spectrum), "--pref", "0.05"])
-        assert code == 1
-        assert "OutOfRangeError" in capsys.readouterr().err
+    @pytest.mark.parametrize("coeffs, argv, prefix", [
+        (WORKED, ["concentrate", "--pref", "0.05"], "OutOfRangeError"),
+        ([0.5, 0.5, 0.0], ["concentrate", "--pref", "0.4"],
+         "RankDeficientFullConcentrationError"),
+        (WORKED, ["sweep", "--mode", "interp", "--xi-grid", "1.5"], "XiOutOfRangeError"),
+        ([0.5, 0.5, 0.0], ["sweep", "--mode", "interp", "--xi-grid", "0.5"],
+         "RankDeficientError"),
+        # file faults name the file, then the spectrum's error
+        ([0.6, 0.5, -0.1], ["concentrate", "--pref", "0.5"],
+         "SchemaError: {path}: NegativeEntryError"),
+        ([0.5, 0.4], ["concentrate", "--pref", "0.6"], "SchemaError: {path}: NotNormalizedError"),
+        ([1.0], ["concentrate", "--pref", "1"], "SchemaError: {path}: InvalidSpectrumError"),
+        ([], ["concentrate", "--pref", "0.5"], "SchemaError: {path}: EmptyInputError"),
+    ], ids=["OutOfRange", "RankDeficientFullConcentration", "XiOutOfRange", "RankDeficient",
+            "NegativeEntry", "NotNormalized", "InvalidSpectrum", "EmptyInput"])
+    def test_domain_error_exit_code(self, tmp_path, capsys, coeffs, argv, prefix):
+        # status 1, the class name first on stderr, no traceback and no output file
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps({"dim": len(coeffs), "squared_coefficients": coeffs}))
+        out = tmp_path / "out"
+        command, *options = argv
+        assert main([command, "--spectrum", str(path), *options, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix.format(path=path) + ": ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("p_ref", [
         float("nan"), float("inf"), float("-inf"), 0.25 - 2 * P_REF_TOL, 1.0 + 2 * FEAS_TOL,
@@ -518,7 +540,8 @@ def test_closed_stdout_exits_quietly(large_spectrum):
     proc = _cli_process("concentrate", "--spectrum", str(large_spectrum), "--pref", "1e-4")
     assert len(proc.stdout.read(300)) == 300
     proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
 

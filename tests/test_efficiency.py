@@ -6,6 +6,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from schmidt_forge import (
+    ConcentrationPlan,
     FixedProbRequest,
     make_spectrum,
     measures,
@@ -14,11 +15,9 @@ from schmidt_forge import (
     reference_from,
 )
 from schmidt_forge.errors import (
-    DimensionMismatchError,
     OutOfRangeError,
     PFixOutOfRangeError,
     RankDeficientFullConcentrationError,
-    YOutOfBoxError,
 )
 from schmidt_forge.oracle import apply_plan, efficiency_q, prefix_scan_efficiency
 from schmidt_forge.spectrum import sort_descending
@@ -31,6 +30,7 @@ from helpers import (
     haar,
     random_reference,
     spectra,
+    verifier_rejects,
 )
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
@@ -101,9 +101,9 @@ class TestEfficiencyQ:
 
     def test_out_of_box(self):
         s = make_spectrum(WORKED)
-        with pytest.raises(YOutOfBoxError):
+        with verifier_rejects():
             efficiency_q(s, [1.5, 1.0, 1.0, 1.0], 0.3)
-        with pytest.raises(YOutOfBoxError):
+        with verifier_rejects():
             efficiency_q(s, [-0.1, 1.0, 1.0, 1.0], 0.3)
 
     @given(spectra(max_dim=12), st.floats(0.0, 1.0))
@@ -300,8 +300,13 @@ class TestApplyPlan:
     def test_rejects_bad_plans(self):
         s = make_spectrum(WORKED)
         plan = optimal_plan_efficiency(s, 0.3).plan
-        with pytest.raises(DimensionMismatchError):
-            apply_plan(make_spectrum([0.5, 0.5]), plan)
+        zero = ConcentrationPlan(x=np.zeros(4), n_opt=0, crop_level=0.0, sq_coeffs=s.sq_coeffs)
+        for spectrum, bad, message in [
+            (make_spectrum([0.5, 0.5]), plan, "y has shape"),
+            (s, zero, "plan has zero success probability"),
+        ]:
+            with verifier_rejects(match=message):
+                apply_plan(spectrum, bad)
 
 
 class TestPlanInvariants:
