@@ -156,7 +156,7 @@ def _identity(s: SchmidtSpectrum) -> tuple[ConcentrationOutcome, float]:
     cache, sq = s.__dict__, s.sq_coeffs
     if "_identity" not in cache:
         plan = _level_plan(s, s.max_sq, 0)
-        cache["_identity"] = _outcome_from_plan(plan, None), float(sq @ sq)
+        cache["_identity"] = _outcome_from_plan(plan, None), float(sq.dot(sq))
     return cache["_identity"]
 
 
@@ -187,9 +187,10 @@ def _efficiency_level(
     coefficient (a subnormal near-tie); the level before it is kept.
 
     The loop's answer depends only on the crop it ends on: the step from
-    that crop, with rest and beta taken below it in array order. A sweep
-    passes ``piece``, two adjacent sorted coefficients hi > lo from its
-    frontier, and the crop at hi is solved in one pass. Its step, computed
+    that crop, with rest and beta taken below it in array order. The last
+    pass finds the crop it already has and reuses that crop's rest and sum.
+    A sweep passes ``piece``, two adjacent sorted coefficients hi > lo from
+    its frontier, and the crop at hi is solved in one pass. Its step, computed
     with a relative error below eta = (D + 8) * 2^-53 / (1 - n * P_ref)
     whatever the order of the sum, is kept if it lies more than 4 * eta
     inside (lo, hi). Then the exact root lies on this piece, every step from
@@ -218,8 +219,12 @@ def _efficiency_level(
         n = sq.size - rest.size
         if n < n_prev:
             return prev
+        if n == n_prev:
+            # crops are threshold sets, so nested: two of one size are one
+            # set, with the same rest in the same order and the same sum
+            return level, n, prev[2], prev[3]
         beta = float(np.add.reduce(rest))
-        if n == n_prev or beta == 0.0 or n * p_ref >= 1.0:
+        if beta == 0.0 or n * p_ref >= 1.0:
             return level, n, rest, beta
         prev = level, n, rest, beta
         level = _newton_level(p_ref, beta, n)
@@ -292,12 +297,12 @@ def optimal_plan_efficiency(
         post = SchmidtSpectrum._adopt(np.full(d, 1.0 / d))
         return ConcentrationOutcome(plan, d * amin, post, measures(post), 0.0)
 
-    rank = s.rank
-    if rank < d and p_ref < 1.0 / rank - P_REF_TOL:
+    # rank < D exactly when min a^2 = 0, so full-rank spectra are not counted
+    if s.min_sq == 0.0 and p_ref < 1.0 / s.rank - P_REF_TOL:
         # demanding more entanglement than the support dimension can carry:
         # the payoff supremum is 0, approached only as p_success -> 0
         raise RankDeficientFullConcentrationError(
-            f"p_ref={p_ref!r} below 1/rank with rank={rank}: no plan with "
+            f"p_ref={p_ref!r} below 1/rank with rank={s.rank}: no plan with "
             "positive success probability reaches the reference entanglement"
         )
 
@@ -309,5 +314,5 @@ def optimal_plan_efficiency(
 
     piece = None if _sweep is None else _sweep.piece(p_ref)
     level, n, rest, beta = _efficiency_level(s.sq_coeffs, p_ref, top, piece)
-    q = _scale(d) * (level * beta - float(rest @ rest))
+    q = _scale(d) * (level * beta - float(rest.dot(rest)))
     return _outcome_from_plan(_level_plan(s, level, n), q)

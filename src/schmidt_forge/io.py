@@ -309,6 +309,8 @@ def outcome_dict(outcome: ConcentrationOutcome, mode: str, ref_value: float) -> 
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of numbers (ints kept as ints) under a mandatory header."""
     def cell(v) -> str:
+        if type(v) is float:  # most cells: the repr of float(v) is the repr of v
+            return repr(v)
         if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
             return str(int(v))
         return repr(float(v))

@@ -35,8 +35,9 @@ def _frozen_array(values) -> np.ndarray:
     return a
 
 
-def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float]:
-    """A caller's squared coefficients as a float64 array, and their sum.
+def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, float, float]:
+    """A caller's squared coefficients as a float64 array, their sum, and
+    their smallest and largest entries, which the check reduces anyway.
 
     This is the one check of values from outside the package, made in this
     order: nonempty, finite, nonnegative, a positive sum, within ``tol`` of 1
@@ -56,7 +57,7 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float]:
     if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
         # the sum overflows, or is subnormal and has lost digits: divide by
         # the largest entry first
-        arr = arr / hi
+        arr, lo, hi = arr / hi, lo / hi, 1.0
         total = float(np.add.reduce(arr, axis=None))
     if total <= 0.0:
         raise NotNormalizedError("all-zero coefficient list cannot be normalized")
@@ -69,7 +70,7 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float]:
         raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {arr.shape}")
     if arr.size < 2:
         raise InvalidSpectrumError("a bipartite spectrum needs dim >= 2")
-    return arr, total
+    return arr, total, float(lo), float(hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +91,19 @@ class SchmidtSpectrum:
         object.__setattr__(s, "sq_coeffs", sq_coeffs)
         return s
 
+    def _seed(self, lo: float, hi: float) -> SchmidtSpectrum:
+        """Cache the stored extremes where ``min_sq`` and ``max_sq`` would. A zero
+        minimum is left to ``min_sq``: the array's layout picks its sign."""
+        if lo > 0.0:
+            self.__dict__["min_sq"] = lo
+        self.__dict__["max_sq"] = hi
+        return self
+
     def __post_init__(self):
         coeffs = _frozen_array(self.sq_coeffs)
-        _checked(coeffs, False, NORM_TOL)
+        _, _, lo, hi = _checked(coeffs, False, NORM_TOL)
         object.__setattr__(self, "sq_coeffs", coeffs)
+        self._seed(lo, hi)
 
     @property
     def dim(self) -> int:
@@ -138,17 +148,21 @@ def make_spectrum(values, normalize: bool = False) -> SchmidtSpectrum:
     With ``normalize`` unset the values must already sum to 1 within
     ``INGEST_TOL``; either way the stored spectrum is rescaled to unit sum so
     downstream code sees exact normalization.
+
+    The spectrum carries the extremes its check computed: a correctly rounded
+    division by the sum is monotone, so min(a / total) is min(a) / total
+    exactly, and likewise the max.
     """
-    arr, total = _checked(values, normalize, INGEST_TOL)
+    arr, total, lo, hi = _checked(values, normalize, INGEST_TOL)
     # the values are finite and nonnegative with a positive finite sum, so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
-    return SchmidtSpectrum._adopt(arr / total)
+    return SchmidtSpectrum._adopt(arr / total)._seed(lo / total, hi / total)
 
 
 def measures(s: SchmidtSpectrum) -> Measures:
     """Purity, Schmidt number and I-Concurrence of a spectrum."""
     sq = s.sq_coeffs
-    purity = float(np.dot(sq, sq))
+    purity = float(sq.dot(sq))
     d = s.dim
     c_sq = (d / (d - 1.0)) * (1.0 - purity)
     c_sq = min(max(c_sq, 0.0), 1.0)  # clip float residue at the range ends

@@ -14,6 +14,7 @@ from schmidt_forge import (
     optimal_plan_fixed,
     reference_from,
 )
+from schmidt_forge.efficiency import _efficiency_level
 from schmidt_forge.errors import (
     OutOfRangeError,
     PFixOutOfRangeError,
@@ -221,6 +222,37 @@ class TestOptimalPlan:
         for p_ref in (0.4, 0.5 - 5e-13):
             with pytest.raises(RankDeficientFullConcentrationError):
                 optimal_plan_efficiency(s, p_ref)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rank_guard_on_either_zero(self, zero):
+        s = make_spectrum([0.5, 0.5, zero])
+        assert s.min_sq == 0.0 and s.rank == 2
+        message = ("p_ref=0.4 below 1/rank with rank=2: no plan with positive "
+                   "success probability reaches the reference entanglement")
+        with pytest.raises(RankDeficientFullConcentrationError, match=f"^{message}$"):
+            optimal_plan_efficiency(s, 0.4)
+        assert optimal_plan_efficiency(s, 0.5).plan.n_opt == 0
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.1, 0.25, 0.5])
+                    | st.floats(1e-6, 1.0), min_size=2, max_size=12),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example([0.25, 0.25, 0.25, 0.25, 5e-324], 0.5)
+    @example([0.5, 0.1, 0.1, 0.1, 0.1, 0.1, -0.0], 0.3)
+    def test_level_search_returns_its_crop(self, values, u):
+        """The uncut coefficients and their sum that the level search returns,
+        its last crop's reused, are those of a fresh crop at its level."""
+        if not max(values) > 0.0:
+            return
+        sq = make_spectrum(values, normalize=True).sq_coeffs
+        top = float(sq.max())
+        p_ref = 1.0 / sq.size + u * (top - 1.0 / sq.size)
+        if not 1.0 / sq.size < p_ref < top:
+            return
+        level, n, rest, beta = _efficiency_level(sq, p_ref, top)
+        fresh = sq.compress(sq < level)
+        assert rest.tobytes() == fresh.tobytes()
+        assert n == sq.size - fresh.size
+        assert np.float64(beta).tobytes() == np.add.reduce(fresh).tobytes()
 
     def test_rank_deficient_feasible_reference_works(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])

@@ -147,3 +147,13 @@ class TestCsv:
         raw = path.read_bytes()
         assert raw == b"x,n\n0.5,4\n"
 
+    def test_every_cell_type(self, tmp_path):
+        # ints (not bools) print as ints, everything else as the repr of its float
+        row = [0.1, -0.0, 5e-324, float("nan"), float("-inf"), np.float64(1 / 3),
+               np.float32(0.1), 7, np.int64(-3), True, np.bool_(False)]
+        path = tmp_path / "t.csv"
+        io.write_csv(path, [str(i) for i in range(len(row))], [row])
+        expected = ["0.1", "-0.0", "5e-324", "nan", "-inf", repr(1 / 3),
+                    repr(float(np.float32(0.1))), "7", "-3", "1.0", "0.0"]
+        assert path.read_text().splitlines()[1] == ",".join(expected)
+

@@ -88,6 +88,36 @@ class TestMakeSpectrum:
         assert s.rank == 2
         assert s.min_sq == 0.0
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.0**-1022])
+                    | st.floats(0.0, 1e308), min_size=2, max_size=12),
+           st.booleans())
+    @example([1e308, 1e308], False)
+    @example([5e-324, 5e-324], False)
+    @example([-0.0, 5e-324, 3.0], True)
+    @example([0.0, -0.0, 0.5, 0.5], True)
+    def test_seeded_extremes_are_exact(self, values, strided):
+        """Ingest keeps the extremes its check reduced: bit-equal to a fresh
+        reduction of the stored values, zeros, -0.0, subnormals and the
+        rescale of an overflowing or subnormal sum included. A zero minimum
+        is not seeded, and its sign is the reduction's."""
+        arr = np.asarray(values)
+        if strided:  # a view of a caller's array, not contiguous
+            arr = np.repeat(arr, 2)[::2]
+
+        def assert_exact(s):
+            sq = s.sq_coeffs
+            lo, hi = float(np.minimum.reduce(sq)), float(np.maximum.reduce(sq))
+            assert ("min_sq" in s.__dict__) == (lo > 0.0) and "max_sq" in s.__dict__
+            assert np.float64(s.min_sq).tobytes() == np.float64(lo).tobytes()
+            assert np.float64(s.max_sq).tobytes() == np.float64(hi).tobytes()
+
+        if not arr.max() > 0.0:
+            return
+        s = make_spectrum(arr, normalize=True)
+        assert_exact(s)
+        assert_exact(make_spectrum(s.sq_coeffs))
+        assert_exact(SchmidtSpectrum(s.sq_coeffs))
+
 
 class TestMeasures:
     def test_maximally_entangled(self):
