@@ -229,7 +229,3 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:  # a malformed option value, e.g. a grid or a count
         parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import json
 import re
 import shlex
@@ -544,6 +545,60 @@ def test_closed_stdout_exits_quietly(large_spectrum):
         err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+def test_imports_freeze_nothing():
+    # only the program entry freezes, and only when it runs: a test or a
+    # library caller that imports the package keeps a normal collector
+    src = Path(io.__file__).parents[1]
+    check = ("import gc, sys; before = gc.get_freeze_count(); "
+             "import schmidt_forge, schmidt_forge.cli, schmidt_forge.__main__; "
+             "sys.exit(gc.get_freeze_count() != before)")
+    result = subprocess.run([sys.executable, "-c", check], cwd=src, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    package = (src / "schmidt_forge").glob("*.py")
+    assert [p.name for p in package if "gc.freeze" in p.read_text()] == ["__main__.py"]
+
+
+@pytest.mark.parametrize("pref, code", [("0.3", 0), ("0.05", 1)], ids=["plan", "domain-error"])
+def test_run_freezes_then_returns_mains_code(worked_spectrum, monkeypatch, capsys, pref, code):
+    import schmidt_forge.__main__ as entry
+
+    calls = []
+
+    def traced_main():
+        calls.append("main")
+        return main()
+
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))  # pytest's heap stays live
+    monkeypatch.setattr(entry, "main", traced_main)
+    monkeypatch.setattr(sys, "argv", ["schmidt-forge", "concentrate", "--spectrum",
+                                      str(worked_spectrum), "--pref", pref])
+    assert entry.run() == code
+    assert calls == ["freeze", "main"]
+    captured = capsys.readouterr()
+    assert bool(captured.out) == (code == 0) and bool(captured.err) == (code == 1)
+
+
+def test_console_script_is_the_program_entry():
+    # both README routes run __main__.run (3.10 has no tomllib, so the text is read)
+    lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
+    assert 'schmidt-forge = "schmidt_forge.__main__:run"' in lines
+
+
+def test_module_route_writes_what_main_writes(large_spectrum, tmp_path, capsys):
+    # the frozen heap loses no output: a file and a piped stdout are whole
+    argv = ["concentrate", "--spectrum", str(large_spectrum), "--pref", "1e-4", "--out"]
+    proc = _cli_process(*argv, str(tmp_path / "module.json"))
+    assert proc.communicate(timeout=60) == (b"", b"") and proc.returncode == 0
+    assert main([*argv, str(tmp_path / "main.json")]) == 0
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    proc = _cli_process("measures", str(large_spectrum))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0 and err == b""
+    assert main(["measures", str(large_spectrum)]) == 0
+    assert out.decode() == capsys.readouterr().out
+    assert json.loads(out)["dim"] == 2**14
 
 
 class FullDevice(StringIO):
