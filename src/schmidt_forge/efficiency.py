@@ -21,11 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    OutOfRangeError,
-    RankDeficientFullConcentrationError,
-)
+from .errors import InfeasibleError, OutOfRangeError, RankDeficientError
 from .spectrum import Measures, SchmidtSpectrum, _frozen_array, frontier, measures
 
 #: additive slack of the range checks on user-supplied parameters
@@ -289,9 +285,7 @@ def optimal_plan_efficiency(
     if p_ref - 1.0 / d <= P_REF_TOL:
         amin = s.min_sq
         if amin == 0.0:
-            raise RankDeficientFullConcentrationError(
-                "full concentration needs every coefficient positive"
-            )
+            raise RankDeficientError("full concentration needs every coefficient positive")
         plan = _level_plan(s, amin, d)
         # the uniform spectrum, valid for every D >= 2
         post = SchmidtSpectrum._adopt(np.full(d, 1.0 / d))
@@ -301,7 +295,7 @@ def optimal_plan_efficiency(
     if s.min_sq == 0.0 and p_ref < 1.0 / s.rank - P_REF_TOL:
         # demanding more entanglement than the support dimension can carry:
         # the payoff supremum is 0, approached only as p_success -> 0
-        raise RankDeficientFullConcentrationError(
+        raise RankDeficientError(
             f"p_ref={p_ref!r} below 1/rank with rank={s.rank}: no plan with "
             "positive success probability reaches the reference entanglement"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .efficiency import FEAS_TOL, ConcentrationOutcome, _identity, _level_plan, _outcome_from_plan
-from .errors import PFixOutOfRangeError
+from .errors import OutOfRangeError
 from .spectrum import SchmidtSpectrum
 
 
@@ -27,7 +27,7 @@ class FixedProbRequest:
 
     def __post_init__(self):
         if not 0.0 < self.p_fix <= 1.0 + FEAS_TOL:
-            raise PFixOutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
+            raise OutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
 def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, int]:
@@ -66,7 +66,7 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     """
     p_fix = float(req.p_fix)
     if p_fix / s.dim == 0.0:
-        raise PFixOutOfRangeError(
+        raise OutOfRangeError(
             f"p_fix={p_fix!r} is too small for dim={s.dim}: "
             "the first water level p_fix / dim underflows to 0"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import RankDeficientError, XiOutOfRangeError
+from .errors import OutOfRangeError, RankDeficientError
 from .spectrum import Measures, SchmidtSpectrum, measures
 
 
@@ -38,7 +38,7 @@ def interpolate(s: SchmidtSpectrum, xi: float) -> InterpPoint:
     """
     xi = float(xi)
     if not 0.0 <= xi <= 1.0:
-        raise XiOutOfRangeError(f"xi={xi!r} outside [0, 1]")
+        raise OutOfRangeError(f"xi={xi!r} outside [0, 1]")
     if xi == 0.0:
         return InterpPoint(0.0, s, 1.0, measures(s))
     amin = s.min_sq

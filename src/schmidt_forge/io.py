@@ -252,9 +252,7 @@ def _load_json(path) -> dict:
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            lineno=exc.lineno,
-            colno=exc.colno,
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # a repeated name, or past a parser limit
         raise ParseError(f"{path}: {exc}") from exc

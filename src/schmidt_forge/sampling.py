@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionTooLargeError
+from .errors import OutOfRangeError
 from .spectrum import SchmidtSpectrum, make_spectrum
 
 #: largest sampled dimension: a draw holds D x D complex matrices (16 * D^2
@@ -32,7 +32,7 @@ def _draws(dim: int, seed: int, count: int):
     if dim < 2:
         raise ValueError("dim must be >= 2")
     if dim > MAX_SAMPLE_DIM:
-        raise DimensionTooLargeError(f"dim={dim} above the cap {MAX_SAMPLE_DIM}")
+        raise OutOfRangeError(f"dim={dim} above the cap {MAX_SAMPLE_DIM}")
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0 <= seed < 2**64:

@@ -14,13 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InvalidSpectrumError,
-    NegativeEntryError,
-    NonFiniteEntryError,
-    NotNormalizedError,
-)
+from .errors import InvalidSpectrumError
 
 #: stored spectra must sum to one within this
 NORM_TOL = 1e-12
@@ -45,13 +39,13 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, fl
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise EmptyInputError("no coefficients given")
+        raise InvalidSpectrumError("no coefficients given")
     # a NaN propagates through both the min and the max, so it fails the first test
     lo, hi = np.minimum.reduce(arr, axis=None), np.maximum.reduce(arr, axis=None)
     if not -np.inf < lo <= hi < np.inf:
-        raise NonFiniteEntryError("coefficients must be finite")
+        raise InvalidSpectrumError("coefficients must be finite")
     if lo < 0.0:
-        raise NegativeEntryError("coefficients must be nonnegative")
+        raise InvalidSpectrumError("coefficients must be nonnegative")
     with np.errstate(over="ignore"):
         total = float(np.add.reduce(arr, axis=None))
     if normalize and hi > 0.0 and not sys.float_info.min <= total < math.inf:
@@ -60,12 +54,12 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, fl
         arr, lo, hi = arr / hi, lo / hi, 1.0
         total = float(np.add.reduce(arr, axis=None))
     if total <= 0.0:
-        raise NotNormalizedError("all-zero coefficient list cannot be normalized")
+        raise InvalidSpectrumError("all-zero coefficient list cannot be normalized")
     if not normalize and abs(total - 1.0) > tol:
         # only the constructor checks at NORM_TOL, and it has no normalize
         how = ("use make_spectrum(values, normalize=True)" if tol == NORM_TOL
                else "pass normalize=True")
-        raise NotNormalizedError(f"squared coefficients sum to {total!r}; {how} to rescale")
+        raise InvalidSpectrumError(f"squared coefficients sum to {total!r}; {how} to rescale")
     if arr.ndim != 1:
         raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {arr.shape}")
     if arr.size < 2:

@@ -24,9 +24,9 @@ from schmidt_forge import (
     sampling,
     sweep_table,
 )
-from schmidt_forge.cli import MAX_GRID_POINTS, build_parser, main, parse_grid
+from schmidt_forge.cli import MAX_GRID_POINTS, SWEEP_GRID_OPTIONS, build_parser, main, parse_grid
 from schmidt_forge.efficiency import FEAS_TOL, P_REF_TOL
-from schmidt_forge.errors import OutOfRangeError
+from schmidt_forge.errors import OutOfRangeError, SchmidtForgeError
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 from helpers import haar, inject_fault, read_csv
@@ -40,6 +40,74 @@ def worked_spectrum(tmp_path):
     path = tmp_path / "spectrum.json"
     io.write_spectrum(make_spectrum(WORKED), path)
     return path
+
+
+#: faults of a command that reads a spectrum file: the file's coefficients (or
+#: its bytes, or None for no file), the command and its options but
+#: --spectrum and --out, and the one line it prints on stderr, where {path}
+#: is the spectrum file. A file fault names the file, then the spectrum's error.
+DOMAIN_ERRORS = [
+    pytest.param(WORKED, ["concentrate", "--pref", "0.05"],
+                 "OutOfRangeError: p_ref=0.05 outside [1/4, 1]", id="OutOfRange"),
+    pytest.param([0.5, 0.5, 0.0], ["concentrate", "--pref", "0.4"],
+                 "RankDeficientError: p_ref=0.4 below 1/rank with rank=2: no plan with positive "
+                 "success probability reaches the reference entanglement",
+                 id="RankDeficientFullConcentration"),
+    pytest.param(WORKED, ["sweep", "--mode", "interp", "--xi-grid", "1.5"],
+                 "OutOfRangeError: xi=1.5 outside [0, 1]", id="XiOutOfRange"),
+    pytest.param([0.5, 0.5, 0.0], ["sweep", "--mode", "interp", "--xi-grid", "0.5"],
+                 "RankDeficientError: zero coefficient: interpolation undefined for xi > 0",
+                 id="RankDeficient"),
+    pytest.param([0.6, 0.5, -0.1], ["concentrate", "--pref", "0.5"],
+                 "SchemaError: {path}: InvalidSpectrumError: coefficients must be nonnegative",
+                 id="NegativeEntry"),
+    pytest.param([0.5, 0.4], ["concentrate", "--pref", "0.6"],
+                 "SchemaError: {path}: InvalidSpectrumError: squared coefficients sum to 0.9; "
+                 "pass normalize=True to rescale", id="NotNormalized"),
+    pytest.param([1.0], ["concentrate", "--pref", "1"],
+                 "SchemaError: {path}: InvalidSpectrumError: a bipartite spectrum needs dim >= 2",
+                 id="InvalidSpectrum"),
+    pytest.param([], ["concentrate", "--pref", "0.5"],
+                 "SchemaError: {path}: InvalidSpectrumError: no coefficients given",
+                 id="EmptyInput"),
+    pytest.param(WORKED, ["fixedp", "--p", "1.5"], "OutOfRangeError: p_fix=1.5 outside (0, 1]",
+                 id="PFixOutOfRange"),
+    pytest.param([0.5, 0.5, 0.0], ["concentrate", "--cref-sq", "1"],
+                 "RankDeficientError: full concentration needs every coefficient positive",
+                 id="FullConcentration"),
+    pytest.param(b'{"dim": 3, "squared_coefficients": [0.5, 0.5]}',
+                 ["sweep", "--mode", "efficiency", "--pref-grid", "0.6"],
+                 "SchemaError: {path}: dim=3 but 2 coefficients", id="DimMismatch"),
+    pytest.param(b'{"dim": 2, "squared_coefficients": [0.5,', ["fixedp", "--p", "0.5"],
+                 "ParseError: {path}: invalid JSON at line 1, column 41: Expecting value",
+                 id="InvalidJson"),
+    pytest.param(b'{"dim": 2, "squared_coefficients": [0.5, 0.5]}\xff',
+                 ["concentrate", "--pref", "0.6"],
+                 "ParseError: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                 "position 46: invalid start byte", id="NotUtf8"),
+    pytest.param(None, ["concentrate", "--pref", "0.6"],
+                 "IoError: cannot read {path}: [Errno 2] No such file or directory: '{path}'",
+                 id="MissingFile"),
+]
+
+
+#: the package's error classes, one per kind of fault
+ERROR_KINDS = {"InvalidSpectrumError", "OutOfRangeError", "RankDeficientError",
+               "InfeasibleError", "ParseError", "SchemaError", "IoError"}
+
+
+def test_one_error_class_per_kind_of_fault():
+    # no class per parameter: a new fault takes one of these kinds, and its
+    # message names the value; every kind a command can print has a row of
+    # DOMAIN_ERRORS, while InfeasibleError guards the planners
+    kinds, new = set(), [SchmidtForgeError]
+    while new:
+        new = [sub for cls in new for sub in cls.__subclasses__()]
+        kinds.update(cls.__name__ for cls in new)
+    assert kinds == ERROR_KINDS
+    printed = {name for row in DOMAIN_ERRORS
+               for name in re.findall(r"(\w+Error): ", row.values[2])}
+    assert printed == ERROR_KINDS - {"InfeasibleError"}
 
 
 class TestGridParsing:
@@ -107,7 +175,8 @@ class TestSampleCommand:
         assert main(["sample", "--dim", too_big, "--seed", "0", "--count", "1",
                      "--out", str(out)]) == 1
         assert not out.exists()
-        assert capsys.readouterr().err.count("DimensionTooLargeError") == 1
+        assert capsys.readouterr().err == (
+            f"OutOfRangeError: dim={too_big} above the cap {MAX_SAMPLE_DIM}\n")
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
         out = tmp_path / "taken"
@@ -152,31 +221,18 @@ class TestConcentrateCommand:
         assert data["p_ref"] == 1.0
         assert data["n_opt"] == 0
 
-    @pytest.mark.parametrize("coeffs, argv, prefix", [
-        (WORKED, ["concentrate", "--pref", "0.05"], "OutOfRangeError"),
-        ([0.5, 0.5, 0.0], ["concentrate", "--pref", "0.4"],
-         "RankDeficientFullConcentrationError"),
-        (WORKED, ["sweep", "--mode", "interp", "--xi-grid", "1.5"], "XiOutOfRangeError"),
-        ([0.5, 0.5, 0.0], ["sweep", "--mode", "interp", "--xi-grid", "0.5"],
-         "RankDeficientError"),
-        # file faults name the file, then the spectrum's error
-        ([0.6, 0.5, -0.1], ["concentrate", "--pref", "0.5"],
-         "SchemaError: {path}: NegativeEntryError"),
-        ([0.5, 0.4], ["concentrate", "--pref", "0.6"], "SchemaError: {path}: NotNormalizedError"),
-        ([1.0], ["concentrate", "--pref", "1"], "SchemaError: {path}: InvalidSpectrumError"),
-        ([], ["concentrate", "--pref", "0.5"], "SchemaError: {path}: EmptyInputError"),
-    ], ids=["OutOfRange", "RankDeficientFullConcentration", "XiOutOfRange", "RankDeficient",
-            "NegativeEntry", "NotNormalized", "InvalidSpectrum", "EmptyInput"])
-    def test_domain_error_exit_code(self, tmp_path, capsys, coeffs, argv, prefix):
-        # status 1, the class name first on stderr, no traceback and no output file
+    @pytest.mark.parametrize("content, argv, line", DOMAIN_ERRORS)
+    def test_domain_error_exit_code(self, tmp_path, capsys, content, argv, line):
+        # status 1, one line on stderr, the class name first, and no output file
         path = tmp_path / "spectrum.json"
-        path.write_text(json.dumps({"dim": len(coeffs), "squared_coefficients": coeffs}))
+        if isinstance(content, list):
+            content = json.dumps({"dim": len(content), "squared_coefficients": content}).encode()
+        if content is not None:
+            path.write_bytes(content)
         out = tmp_path / "out"
         command, *options = argv
         assert main([command, "--spectrum", str(path), *options, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(prefix.format(path=path) + ": ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == line.format(path=path) + "\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("p_ref", [
@@ -221,7 +277,8 @@ class TestConcentrateCommand:
         path.write_text(f'{{"dim": 3, "squared_coefficients": [{bad}, 0.5, 0.5]}}')
         code = main(["concentrate", "--spectrum", str(path), "--pref", "0.5"])
         assert code == 1
-        assert "NonFiniteEntryError" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"SchemaError: {path}: InvalidSpectrumError: coefficients must be finite\n")
 
     def test_string_coefficient_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -533,7 +590,7 @@ def test_underflowing_p_fix_is_a_typed_error(large_spectrum):
     out, err = proc.communicate(timeout=60)
     err = err.decode()
     assert proc.returncode == 1 and out == b""
-    assert "PFixOutOfRangeError" in err and "dim=16384" in err
+    assert err.startswith("OutOfRangeError: p_fix=5e-324 is too small for dim=16384: ")
     assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
@@ -744,6 +801,104 @@ def test_dropped_option_or_removed_command_is_usage_error(worked_spectrum, tmp_p
     captured = capsys.readouterr()
     assert "error: " in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and list(tmp_path.iterdir()) == [worked_spectrum]
+
+
+#: option values that are no number, or numbers at the edges of a float:
+#: malformed, huge, subnormal and spelled out
+_ODD_VALUES = st.sampled_from([
+    "", "abc", "0.5.5", "1/D", "1e", "0x1p-2", "--",
+    "1e308", "-1e308", "1e400", "9" * 400,
+    "5e-324", "-5e-324", "1e-310", "2.2250738585072014e-308",
+    "nan", "-NaN", "inf", "-Infinity", "1_0", " 0.5 ", "+.5", "\u0660.\u0665",
+])
+_GRID_POINTS = st.sampled_from(["0", "0.3", "1", "1/D"]) | _ODD_VALUES
+_GRID_COUNTS = st.sampled_from(["1", "3", "0", "-1", "2.5", "x", str(MAX_GRID_POINTS + 1),
+                                "1" + "0" * 30, "9" * 5000])
+_GRIDS = st.one_of(
+    st.builds("{}:{}:{}:{}".format, st.sampled_from(["lin", "log", "exp"]), _GRID_POINTS,
+              _GRID_POINTS, _GRID_COUNTS),
+    st.lists(_GRID_POINTS, min_size=1, max_size=3).map(",".join),
+)
+#: odd values of the file options: no file, a directory, a missing directory
+_ODD_PATHS = st.sampled_from(["{dir}/none.json", "{dir}", "{dir}/none/out", ""])
+#: the reference options of concentrate and values each one accepts at D = 4
+_REFERENCES = {"--pref": ["0.3", "0.25", "1"], "--cref-sq": ["0", "0.5", "1"],
+               "--kref": ["1", "2.5", "4"]}
+
+
+@st.composite
+def odd_argv(draw):
+    """argv of concentrate, fixedp or sweep in some mode on a D = 4 spectrum
+    file, each option kept, dropped, repeated or given an odd value."""
+    command = draw(st.sampled_from(["concentrate", "fixedp", "sweep"]))
+    options = [("--spectrum", st.just("{spectrum}"))]
+    if command == "concentrate":
+        ref = draw(st.sampled_from(sorted(_REFERENCES)))
+        options.append((ref, st.sampled_from(_REFERENCES[ref])))
+    elif command == "fixedp":
+        options.append(("--p", st.sampled_from(["0.05", "0.5", "1"])))
+    else:
+        mode = draw(st.sampled_from(sorted(SWEEP_GRID_OPTIONS)))
+        grid = "--" + SWEEP_GRID_OPTIONS[mode].replace("_", "-")
+        options += [("--mode", st.just(mode)), (grid, _GRIDS)]
+    options.append(("--out", st.just("{out}")))
+    argv = [command]
+    for name, values in options:
+        odd = _ODD_PATHS if name in ("--spectrum", "--out") else _ODD_VALUES
+        # kept more often than not, so that most runs reach the planners
+        how = draw(st.sampled_from(["keep"] * 4 + ["drop", "repeat", "odd"]))
+        if how != "drop":
+            argv += [name, draw(odd if how == "odd" else values)]
+        if how == "repeat":
+            argv += [name, draw(values | odd)]
+    return argv
+
+
+def _sweep_argv(grid: str) -> list[str]:
+    return ["sweep", "--spectrum", "{spectrum}", "--mode", "efficiency", "--pref-grid", grid,
+            "--out", "{out}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=odd_argv())
+@example(argv=_sweep_argv("abc"))
+@example(argv=_sweep_argv("log:0:1:5"))
+@example(argv=_sweep_argv("lin:0.5:1"))
+@example(argv=_sweep_argv("lin:0:1:0"))
+@example(argv=_sweep_argv("log:1/D:inf:5"))
+@example(argv=_sweep_argv("log:-1:1:5"))
+@example(argv=_sweep_argv("log:1e-3:nan:3"))
+@example(argv=_sweep_argv("lin:-1e308:1e308:3"))
+@example(argv=_sweep_argv(f"lin:0.2:1:{MAX_GRID_POINTS + 1}"))
+@example(argv=["sweep", "--spectrum", "{spectrum}", "--mode", "efficiency", "--out", "{out}"])
+@example(argv=["sweep", "--dim", "8", "--mode", "interp", "--xi-grid", "0.5", "--out", "{out}"])
+@example(argv=_sweep_argv("0.5")[:-2] + ["--format", "json", "--out", "{out}"])
+@example(argv=["concentrate", "--spectrum", "{spectrum}", "--kref", "1000", "--out", "{out}"])
+@example(argv=["concentrate", "--spectrum", "{spectrum}", "--kref", "4", "--out", "{out}"])
+@example(argv=["concentrate", "--spectrum", "{spectrum}", "--cref-sq", "1", "--out", "{out}"])
+@example(argv=["concentrate", "--spectrum", "{spectrum}", "--pref", "nan", "--out", "{out}"])
+@example(argv=["fixedp", "--spectrum", "{spectrum}", "--p", "5e-324", "--out", "{out}"])
+@example(argv=["sweep", "--spectrum", "{spectrum}", "--mode", "interp", "--xi-grid", "1.5",
+               "--out", "{out}"])
+def test_odd_argv_is_a_usage_or_typed_error(argv):
+    # exit 0, a typed error (1) or a usage error (2), never a traceback, and
+    # no output file unless the command succeeds
+    with tempfile.TemporaryDirectory() as tmp:
+        spectrum = Path(tmp) / "spectrum.json"
+        io.write_spectrum(make_spectrum(WORKED), spectrum)
+        argv = [a.format(spectrum=spectrum, out=Path(tmp) / "out", dir=tmp) for a in argv]
+        err = StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if code == 1:
+            assert err.startswith(tuple(f"{name}: " for name in ERROR_KINDS)), (argv, err)
+        if code != 0:
+            assert [p.name for p in Path(tmp).iterdir()] == ["spectrum.json"], (argv, err)
 
 
 def test_readme_command_lines_parse():

@@ -14,12 +14,8 @@ from schmidt_forge import (
     optimal_plan_fixed,
     reference_from,
 )
-from schmidt_forge.efficiency import _efficiency_level
-from schmidt_forge.errors import (
-    OutOfRangeError,
-    PFixOutOfRangeError,
-    RankDeficientFullConcentrationError,
-)
+from schmidt_forge.efficiency import _efficiency_level, _level_plan
+from schmidt_forge.errors import InfeasibleError, OutOfRangeError, RankDeficientError
 from schmidt_forge.oracle import apply_plan, efficiency_q, prefix_scan_efficiency
 from schmidt_forge.spectrum import sort_descending
 
@@ -212,7 +208,8 @@ class TestOptimalPlan:
 
     def test_rank_deficient_full_concentration_rejected(self):
         s = make_spectrum([0.6, 0.4, 0.0, 0.0])
-        with pytest.raises(RankDeficientFullConcentrationError):
+        with pytest.raises(RankDeficientError,
+                           match="^full concentration needs every coefficient positive$"):
             optimal_plan_efficiency(s, 0.25)
 
     def test_rank_deficient_below_support_rejected(self):
@@ -220,7 +217,7 @@ class TestOptimalPlan:
         # demanding K_ref = 2.5 > rank = 2, or a reference below 1/rank by
         # more than rounding
         for p_ref in (0.4, 0.5 - 5e-13):
-            with pytest.raises(RankDeficientFullConcentrationError):
+            with pytest.raises(RankDeficientError, match=f"^p_ref={p_ref!r} below 1/rank "):
                 optimal_plan_efficiency(s, p_ref)
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -229,9 +226,18 @@ class TestOptimalPlan:
         assert s.min_sq == 0.0 and s.rank == 2
         message = ("p_ref=0.4 below 1/rank with rank=2: no plan with positive "
                    "success probability reaches the reference entanglement")
-        with pytest.raises(RankDeficientFullConcentrationError, match=f"^{message}$"):
+        with pytest.raises(RankDeficientError, match=f"^{message}$"):
             optimal_plan_efficiency(s, 0.4)
         assert optimal_plan_efficiency(s, 0.5).plan.n_opt == 0
+
+    @pytest.mark.parametrize("level", [0.0, -0.0, float("nan")])
+    def test_level_that_is_not_positive_is_infeasible(self, level):
+        # the planners' guard of the post spectrum's division, which no valid
+        # input is known to reach: a level that is not above 0 makes no plan
+        message = ("the water level underflows to 0: no plan with positive "
+                   "success probability can be computed")
+        with pytest.raises(InfeasibleError, match=f"^{message}$"):
+            _level_plan(make_spectrum(WORKED), level, 1)
 
     @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.1, 0.25, 0.5])
                     | st.floats(1e-6, 1.0), min_size=2, max_size=12),
@@ -419,7 +425,7 @@ class TestPlanInvariants:
         if u / d > 0.0:
             outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
         elif u > 0.0:
-            with pytest.raises(PFixOutOfRangeError, match=f"dim={d}: .* underflows to 0$"):
+            with pytest.raises(OutOfRangeError, match=f"dim={d}: .* underflows to 0$"):
                 optimal_plan_fixed(s, FixedProbRequest(u))
         for out in outs:
             level = out.plan.crop_level

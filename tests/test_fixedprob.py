@@ -4,7 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from schmidt_forge import FixedProbRequest, make_spectrum, measures, optimal_plan_fixed
-from schmidt_forge.errors import PFixOutOfRangeError
+from schmidt_forge.errors import OutOfRangeError
 from schmidt_forge.oracle import duality_check, enumerate_fixed_configurations
 from schmidt_forge.spectrum import sort_descending
 
@@ -16,7 +16,7 @@ WORKED = [0.4, 0.3, 0.2, 0.1]
 class TestRequestValidation:
     def test_rejects_out_of_range(self):
         for bad in (0.0, -0.2, 1.1):
-            with pytest.raises(PFixOutOfRangeError):
+            with pytest.raises(OutOfRangeError, match=f"^p_fix={bad!r} outside \\(0, 1\\]$"):
                 FixedProbRequest(bad)
 
     def test_accepts_interior_and_one(self):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -40,15 +41,16 @@ class TestSpectrumRoundTrip:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 2, "squared_coefficients": [0.5,')
-        with pytest.raises(ParseError) as err:
+        message = f"{path}: invalid JSON at line 1, column 41: Expecting value"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             io.read_spectrum(path)
-        assert err.value.lineno == 1
-        assert err.value.colno > 1
 
     def test_not_normalized_is_schema_error(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"dim": 2, "squared_coefficients": [0.7, 0.5]}')
-        with pytest.raises(SchemaError, match="NotNormalized"):
+        message = (f"{path}: InvalidSpectrumError: squared coefficients sum to 1.2; "
+                   "pass normalize=True to rescale")
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             io.read_spectrum(path)
 
     @pytest.mark.parametrize("coeffs", ['[0.5, "a"]', "[0.5, [0.5]]", "[0.5, {}]"])

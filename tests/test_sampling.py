@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from schmidt_forge import measures, sample_haar_spectrum, sampling
-from schmidt_forge.errors import DimensionTooLargeError
+from schmidt_forge.errors import OutOfRangeError
 from schmidt_forge.sampling import MAX_SAMPLE_DIM
 
 #: (dim, seed, count) the sampler refuses, with the error and its message
 BAD_ARGUMENTS = [
     ((1, 0, 1), ValueError, "dim must be >= 2"),
-    ((MAX_SAMPLE_DIM + 1, 0, 1), DimensionTooLargeError,
+    ((MAX_SAMPLE_DIM + 1, 0, 1), OutOfRangeError,
      f"dim={MAX_SAMPLE_DIM + 1} above the cap {MAX_SAMPLE_DIM}"),
     ((4, 0, 0), ValueError, "count must be >= 1"),
     ((4, -1, 1), ValueError, "seed must fit an unsigned 64-bit integer"),

@@ -15,13 +15,7 @@ from schmidt_forge import (
     optimal_plan_fixed,
 )
 from schmidt_forge.efficiency import ConcentrationPlan, _Sweep
-from schmidt_forge.errors import (
-    EmptyInputError,
-    InvalidSpectrumError,
-    NegativeEntryError,
-    NonFiniteEntryError,
-    NotNormalizedError,
-)
+from schmidt_forge.errors import InvalidSpectrumError
 from schmidt_forge.spectrum import SchmidtSpectrum, sort_descending
 
 from helpers import spectra
@@ -38,23 +32,24 @@ class TestMakeSpectrum:
         assert np.array_equal(s.sq_coeffs, [0.25, 0.25, 0.25, 0.25])
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidSpectrumError,
+                           match="^squared coefficients sum to 1.0999999999999999; pass"):
             make_spectrum([0.4, 0.3, 0.2, 0.2])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InvalidSpectrumError, match="no coefficients given"):
             make_spectrum([])
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(InvalidSpectrumError, match="must be nonnegative"):
             make_spectrum([1.1, -0.1])
 
     def test_all_zero_rejected(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidSpectrumError, match="all-zero coefficient list"):
             make_spectrum([0.0, 0.0], normalize=True)
 
     def test_single_coefficient_rejected(self):
-        with pytest.raises(InvalidSpectrumError):
+        with pytest.raises(InvalidSpectrumError, match="needs dim >= 2"):
             make_spectrum([1.0])
 
     def test_near_normalized_accepted_and_snapped(self):
@@ -63,11 +58,11 @@ class TestMakeSpectrum:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(InvalidSpectrumError, match="must be finite"):
             make_spectrum([bad, 0.5, 0.5])
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(InvalidSpectrumError, match="must be finite"):
             make_spectrum([bad, 0.5, 0.5], normalize=True)
-        with pytest.raises(NonFiniteEntryError):
+        with pytest.raises(InvalidSpectrumError, match="must be finite"):
             SchmidtSpectrum(np.array([bad, 0.5, 0.5]))
 
     def test_overflowing_input_is_normalized(self):
@@ -75,7 +70,7 @@ class TestMakeSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = make_spectrum(values, normalize=True)
-            with pytest.raises(NotNormalizedError, match="sum to inf"):
+            with pytest.raises(InvalidSpectrumError, match="sum to inf"):
                 make_spectrum(values)
         assert s.sq_coeffs.tolist() == [0.5, 0.5]
 
@@ -189,43 +184,57 @@ class TestSortDescending:
 
 
 NAN, INF = float("nan"), float("inf")
+#: messages of the spectrum checks
+FINITE = "coefficients must be finite"
+NONNEGATIVE = "coefficients must be nonnegative"
+STORED_SUM = "squared coefficients sum to {}; use make_spectrum(values, normalize=True) to rescale"
+
+
+def by_check(*rows, show_message=True):
+    """(values, message) parameters from (values, check, message) rows.
+
+    Every failed check raises InvalidSpectrumError, so the message tells the
+    checks apart. The id still names the check, as values<i>-<check>, then
+    the message unless ``show_message`` is false, so the tests keep their
+    names."""
+    return [pytest.param(values, message, id=f"values{i}-{check}" + f"-{message}" * show_message)
+            for i, (values, check, message) in enumerate(rows)]
 
 
 class TestErrorPrecedence:
     """The first failed check wins, in the order non-finite, negative,
     not normalized, not 1-D with D >= 2, whatever else is wrong with the
-    input. The public constructor and make_spectrum share the one check."""
+    input. The public constructor and make_spectrum share the one check,
+    and every failure is an InvalidSpectrumError with that check's message."""
 
-    @pytest.mark.parametrize("values, error, message", [
-        ([NAN, -0.5, 1.5], NonFiniteEntryError, "coefficients must be finite"),
-        ([-0.5, 1.5, NAN], NonFiniteEntryError, "coefficients must be finite"),
-        ([0.5, NAN, 0.5], NonFiniteEntryError, "coefficients must be finite"),
-        ([INF, -1.0], NonFiniteEntryError, "coefficients must be finite"),
-        ([2.0, -INF], NonFiniteEntryError, "coefficients must be finite"),
-        ([1.5, -0.5], NegativeEntryError, "coefficients must be nonnegative"),
-        ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
+    @pytest.mark.parametrize("values, message", by_check(
+        ([NAN, -0.5, 1.5], "NonFiniteEntryError", FINITE),
+        ([-0.5, 1.5, NAN], "NonFiniteEntryError", FINITE),
+        ([0.5, NAN, 0.5], "NonFiniteEntryError", FINITE),
+        ([INF, -1.0], "NonFiniteEntryError", FINITE),
+        ([2.0, -INF], "NonFiniteEntryError", FINITE),
+        ([1.5, -0.5], "NegativeEntryError", NONNEGATIVE),
+        ([-0.1, 0.5], "NegativeEntryError", NONNEGATIVE),
         # a coefficient above 1 fails the sum check
-        ([1.5, 0.5], NotNormalizedError,
-         "squared coefficients sum to 2.0; use make_spectrum(values, normalize=True) to rescale"),
-        ([0.3, 0.3], NotNormalizedError,
-         "squared coefficients sum to 0.6; use make_spectrum(values, normalize=True) to rescale"),
-        ([], EmptyInputError, "no coefficients given"),
-    ])
-    def test_stored_spectrum(self, values, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        ([1.5, 0.5], "NotNormalizedError", STORED_SUM.format(2.0)),
+        ([0.3, 0.3], "NotNormalizedError", STORED_SUM.format(0.6)),
+        ([], "EmptyInputError", "no coefficients given"),
+    ))
+    def test_stored_spectrum(self, values, message):
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
             SchmidtSpectrum(np.array(values))
 
-    @pytest.mark.parametrize("values, error, message", [
-        ([NAN, -0.5, 1.5], NonFiniteEntryError, "coefficients must be finite"),
-        ([-0.5, 1.5, NAN], NonFiniteEntryError, "coefficients must be finite"),
-        ([INF, -1.0], NonFiniteEntryError, "coefficients must be finite"),
-        ([2.0, -INF], NonFiniteEntryError, "coefficients must be finite"),
-        ([1.5, -0.5], NegativeEntryError, "coefficients must be nonnegative"),
-        ([-0.1, 0.5], NegativeEntryError, "coefficients must be nonnegative"),
-    ])
+    @pytest.mark.parametrize("values, message", by_check(
+        ([NAN, -0.5, 1.5], "NonFiniteEntryError", FINITE),
+        ([-0.5, 1.5, NAN], "NonFiniteEntryError", FINITE),
+        ([INF, -1.0], "NonFiniteEntryError", FINITE),
+        ([2.0, -INF], "NonFiniteEntryError", FINITE),
+        ([1.5, -0.5], "NegativeEntryError", NONNEGATIVE),
+        ([-0.1, 0.5], "NegativeEntryError", NONNEGATIVE),
+    ))
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_ingest(self, values, error, message, normalize):
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+    def test_ingest(self, values, message, normalize):
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
             make_spectrum(values, normalize=normalize)
 
     @pytest.mark.parametrize("values, message", [
@@ -241,7 +250,7 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("values, total", [([1.5, 0.0], "1.5"), ([0.3, 0.3], "0.6")])
     def test_ingest_bad_sum(self, values, total):
         message = f"squared coefficients sum to {total}; pass normalize=True to rescale"
-        with pytest.raises(NotNormalizedError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
             make_spectrum(values)
 
 
@@ -269,7 +278,8 @@ class TestImmutability:
             assert not stored.flags.writeable
 
     def test_stored_normalization_enforced(self):
-        with pytest.raises(NotNormalizedError):
+        with pytest.raises(InvalidSpectrumError,
+                           match="^squared coefficients sum to 1.000000001; use"):
             SchmidtSpectrum(np.array([0.5, 0.5 + 1e-9]))
 
 
@@ -349,16 +359,17 @@ class TestDerivedSpectra:
         ):
             SchmidtSpectrum(np.array(t.sq_coeffs))
 
-    @pytest.mark.parametrize("values, error", [
-        ([0.7, 0.7], NotNormalizedError),
-        ([NAN, 0.5, 0.5], NonFiniteEntryError),
-        ([1.5, -0.5], NegativeEntryError),
-        ([1.0], InvalidSpectrumError),
-    ])
-    def test_caller_read_only_array_is_checked(self, values, error):
+    @pytest.mark.parametrize("values, message", by_check(
+        ([0.7, 0.7], "NotNormalizedError", STORED_SUM.format(1.4)),
+        ([NAN, 0.5, 0.5], "NonFiniteEntryError", FINITE),
+        ([1.5, -0.5], "NegativeEntryError", NONNEGATIVE),
+        ([1.0], "InvalidSpectrumError", "a bipartite spectrum needs dim >= 2"),
+        show_message=False,
+    ))
+    def test_caller_read_only_array_is_checked(self, values, message):
         # a read-only array that owns its memory is still the caller's
         arr = np.array(values)
         arr.setflags(write=False)
         assert arr.flags.owndata
-        with pytest.raises(error):
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
             SchmidtSpectrum(arr)
