@@ -65,7 +65,7 @@ def parse_grid(text: str, dim: int) -> np.ndarray:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    if out:
+    if out is not None:
         io.write_json(obj, out)
     else:
         sys.stdout.writelines(io.json_pieces(obj))

@@ -1,9 +1,8 @@
-"""Independent verifiers for the closed-form planners.
+"""Independent verifiers for the closed-form planners, and the ``validate``
+suites that run them.
 
-The re-evaluators recompute what any plan achieves from its box point y
-alone: ``efficiency_q`` (the payoff Q at y), ``apply_plan`` (the whole
-outcome of a plan) and ``duality_check`` (the efficiency optimum is also the
-purity minimizer at its own success probability).
+``duality_check`` cross-checks the two planners: the efficiency optimum is
+also the purity minimizer at its own success probability.
 
 Two routes certify the planners without reusing their logic:
 
@@ -15,27 +14,17 @@ Two routes certify the planners without reusing their logic:
 Both enumerators score one table of active sets, and their reports carry it
 as arrays: the interior masks (in efficiency mode the all-False row 0 is the
 identity corner), each row's value (-inf or inf where infeasible) and the
-winning row. Zeroing a set Z of coordinates leaves exactly the payoff of the
-coefficients outside Z, so ``best_zero_face_gain`` scores the same table on
-sq[~Z] for every nonempty Z: with sq itself, all 3^D zero / upper-bound /
-interior assignments.
-
-For dimensions beyond enumeration, ``spectrum.frontier`` sorts the
-coefficients: every optimal plan crops a top-n prefix, and the crop count
-changes at the breakpoints p_n = beta_n + n * a_n^2. ``prefix_scan_fixed`` and
-``prefix_scan_efficiency`` count breakpoints, then solve for that count's
-level alone; they share no code with the planners' unsorted Newton steps,
-which an efficiency sweep only starts on the frontier.
+winning row.
 
 The module also carries the relative-difference metrics used to compare the
 two routes, and direct checks of two structural facts: the unreferenced
 payoff p^2 C^2 is maximized by doing nothing, and off-diagonal filter
 components can only lower the payoff.
 
-Every verifier rejects a bad argument (a wrong shape, a point off the box, a
-dimension above an enumeration guard) with ``ValueError``; a
-``SchmidtForgeError`` that escapes one comes from the planner or spectrum
-under check.
+Every verifier rejects a bad argument (a wrong shape, a non-Hermitian or
+out-of-range filter, a dimension above an enumeration guard) with
+``ValueError``; a ``SchmidtForgeError`` that escapes one comes from the
+planner or spectrum under check.
 """
 
 from __future__ import annotations
@@ -45,22 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .efficiency import (
-    _MIN_NORMAL,
-    FEAS_TOL,
-    ConcentrationOutcome,
-    ConcentrationPlan,
-    _scale,
-    _y_of,
-    optimal_plan_efficiency,
-)
+from .efficiency import FEAS_TOL, _scale, _y_of, optimal_plan_efficiency
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, SchmidtForgeError
 from .fixedprob import FixedProbRequest, optimal_plan_fixed
 from .sampling import _one_spectrum
-from .spectrum import SchmidtSpectrum, frontier, measures
+from .spectrum import SchmidtSpectrum
 
-#: cost guard of the zero-face enumeration
-MAX_ZERO_FACE_DIM = 8
 #: the stopping rule of each start of numeric_qp_ascent
 ASCENT_TOL = 1e-12
 ASCENT_MAX_ITER = 100_000
@@ -121,36 +100,6 @@ def _payoff(p_ref: float, x: np.ndarray) -> float:
     return p_ref * total * total - float(x @ x)
 
 
-def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
-    """The coefficients x = a^2 * y of a box point y of the spectrum's dimension."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (s.dim,):
-        raise ValueError(f"y has shape {y.shape}, expected ({s.dim},)")
-    if np.any(y < -FEAS_TOL) or np.any(y > 1.0 + FEAS_TOL):
-        raise ValueError("y leaves the box [0, 1]^D")
-    return s.sq_coeffs * y
-
-
-def efficiency_q(s: SchmidtSpectrum, y, p_ref: float) -> float:
-    """Evaluate the efficiency payoff Q at an arbitrary box point."""
-    return _scale(s.dim) * _payoff(p_ref, _check_box(s, y))
-
-
-def apply_plan(s: SchmidtSpectrum, plan: ConcentrationPlan) -> ConcentrationOutcome:
-    """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
-
-    Everything is recomputed from ``plan.y``, so this doubles as an
-    independent check of planner-built outcomes. ``q_value`` is None: the
-    payoff at a reference purity is ``efficiency_q(s, plan.y, p_ref)``.
-    """
-    x = _check_box(s, plan.y)
-    p_success = float(np.add.reduce(x))
-    if p_success <= 0.0:
-        raise ValueError("plan has zero success probability")
-    post = SchmidtSpectrum(x / p_success)
-    return ConcentrationOutcome(plan, p_success, post, measures(post), None)
-
-
 def duality_check(s: SchmidtSpectrum, p_ref: float) -> bool:
     """Cross-validate the two planners against each other.
 
@@ -200,8 +149,7 @@ def enumerate_configurations(s: SchmidtSpectrum, p_ref: float) -> OracleReport:
 
     The identity corner (row 0) and all 2^D - 1 nonempty interior sets are
     scored; the winner is taken on the unscaled payoffs, and the identity
-    wins ties. :func:`best_zero_face_gain` checks that points with zeroed
-    coordinates never beat this winner.
+    wins ties.
     """
     d = s.dim
     sq = s.sq_coeffs
@@ -217,26 +165,6 @@ def enumerate_configurations(s: SchmidtSpectrum, p_ref: float) -> OracleReport:
         values=scale * q,
         best=best,
     )
-
-
-def best_zero_face_gain(s: SchmidtSpectrum, p_ref: float) -> float:
-    """Scaled payoff by which the best point with a zeroed coordinate beats
-    the enumeration's winner; never positive, since zeroing never helps.
-
-    Each of the 2^D - 1 nonempty zero sets Z scores the efficiency table of
-    the coefficients outside Z (an empty remainder scores 0): the 3^D - 2^D
-    assignments with a zeroed coordinate. Guarded to D <= MAX_ZERO_FACE_DIM.
-    """
-    d = s.dim
-    if d > MAX_ZERO_FACE_DIM:
-        raise ValueError(f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}")
-    sq = s.sq_coeffs
-    best = float(np.max(_efficiency_table(sq, p_ref)[1]))
-    faces = max(
-        float(np.max(_efficiency_table(sq[~zero], p_ref)[1]))
-        for zero in _subset_masks(d)[1:]
-    )
-    return _scale(d) * (faces - best)
 
 
 def enumerate_fixed_configurations(s: SchmidtSpectrum, p_fix: float) -> OracleReport:
@@ -356,39 +284,6 @@ def numeric_qp_ascent(
         delta_q_relative=delta_q,
         converged=converged,
     )
-
-
-def prefix_scan_efficiency(s: SchmidtSpectrum, p_ref: float) -> tuple[int, float]:
-    """Crop count and level of the efficiency optimum, from the frontier.
-
-    Under the curvature bound n * P_ref < 1 and with something left
-    uncropped (beta_n > 0), the level alpha_n = P_ref * beta_n / (1 - n * P_ref)
-    fits the box, alpha_n <= a_n^2, exactly where a_n^2 >= P_ref * p_n. These n
-    form a prefix, all of it cropped. Valid for P_ref > 1/D; (0, max a^2) is
-    the identity.
-    """
-    a, beta, p = frontier(s)
-    # the bound follows from the other two, but not in floats: p_n can absorb
-    # a subnormal beta_n, as in [0.5, 0.5, 5e-324] at P_ref = 0.5
-    curved = np.arange(1, a.size + 1) * p_ref < 1.0
-    n = int(np.count_nonzero((a >= p_ref * p) & (beta > 0.0) & curved))
-    if n == 0:
-        return 0, float(a[0])
-    rest, denom = float(beta[n - 1]), 1.0 - n * p_ref
-    # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
-    # level is representable: then divide first
-    level = p_ref * rest / denom if p_ref * rest >= _MIN_NORMAL else rest / denom * p_ref
-    # at subnormal resolution a near-tie can round the level past a_n^2
-    return n, min(level, float(a[n - 1]))
-
-
-def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
-    """Crop count and level of the fixed-probability optimum, from the
-    frontier: the n breakpoints p_n >= p_fix are cropped at
-    kappa = (p_fix - beta_n) / n; (0, max a^2) when p_fix is above them all."""
-    a, beta, p = frontier(s)
-    n = int(np.count_nonzero(p >= p_fix))
-    return (n, (p_fix - float(beta[n - 1])) / n) if n else (0, float(a[0]))
 
 
 def appendix_a_check(s: SchmidtSpectrum, seed: int = 0) -> bool:

@@ -1,4 +1,5 @@
-"""Shared strategies and generators for the test suite."""
+"""Shared strategies and generators for the test suite, and the reference
+verifiers that only the tests run."""
 
 import contextlib
 import itertools
@@ -8,7 +9,19 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from schmidt_forge import SchmidtForgeError, make_spectrum, sample_haar_spectrum
+from schmidt_forge import (
+    ConcentrationOutcome,
+    ConcentrationPlan,
+    SchmidtForgeError,
+    SchmidtSpectrum,
+    make_spectrum,
+    measures,
+    sample_haar_spectrum,
+)
+from schmidt_forge import oracle
+from schmidt_forge.efficiency import _MIN_NORMAL, FEAS_TOL, _scale
+from schmidt_forge.oracle import _efficiency_table, _payoff, _subset_masks
+from schmidt_forge.spectrum import frontier
 
 
 @st.composite
@@ -105,8 +118,6 @@ def inject_fault(monkeypatch, suite: int, value: float, every: int = 1) -> str:
     first metric on every ``every``-th instance, starting with the first; the
     original check still runs, so the random stream is unchanged. Returns the
     suite's name."""
-    from schmidt_forge import oracle
-
     suites = list(oracle._SUITES)
     name, cap, dim_min, check, *rest = suites[suite]
     calls = itertools.count()
@@ -118,3 +129,95 @@ def inject_fault(monkeypatch, suite: int, value: float, every: int = 1) -> str:
     suites[suite] = (name, cap, dim_min, faulty, *rest)
     monkeypatch.setattr(oracle, "_SUITES", tuple(suites))
     return name
+
+
+# --------------------------------------------------------------------------
+# reference verifiers: the payoff and outcome of any box point, the
+# zero-face enumeration and the frontier lookups, which the tests check the
+# planners against and ``validate`` does not run
+
+#: cost guard of the zero-face enumeration
+MAX_ZERO_FACE_DIM = 8
+
+
+def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
+    """The coefficients x = a^2 * y of a box point y of the spectrum's dimension."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (s.dim,):
+        raise ValueError(f"y has shape {y.shape}, expected ({s.dim},)")
+    if np.any(y < -FEAS_TOL) or np.any(y > 1.0 + FEAS_TOL):
+        raise ValueError("y leaves the box [0, 1]^D")
+    return s.sq_coeffs * y
+
+
+def efficiency_q(s: SchmidtSpectrum, y, p_ref: float) -> float:
+    """Evaluate the efficiency payoff Q at an arbitrary box point."""
+    return _scale(s.dim) * _payoff(p_ref, _check_box(s, y))
+
+
+def apply_plan(s: SchmidtSpectrum, plan: ConcentrationPlan) -> ConcentrationOutcome:
+    """Evaluate an arbitrary (not necessarily optimal) plan on a spectrum.
+
+    Everything is recomputed from ``plan.y``, so this doubles as an
+    independent check of planner-built outcomes. ``q_value`` is None: the
+    payoff at a reference purity is ``efficiency_q(s, plan.y, p_ref)``.
+    """
+    x = _check_box(s, plan.y)
+    p_success = float(np.add.reduce(x))
+    if p_success <= 0.0:
+        raise ValueError("plan has zero success probability")
+    post = SchmidtSpectrum(x / p_success)
+    return ConcentrationOutcome(plan, p_success, post, measures(post), None)
+
+
+def best_zero_face_gain(s: SchmidtSpectrum, p_ref: float) -> float:
+    """Scaled payoff by which the best point with a zeroed coordinate beats
+    the enumeration's winner; never positive, since zeroing never helps.
+
+    Each of the 2^D - 1 nonempty zero sets Z scores the efficiency table of
+    the coefficients outside Z (an empty remainder scores 0): the 3^D - 2^D
+    assignments with a zeroed coordinate. Guarded to D <= MAX_ZERO_FACE_DIM.
+    """
+    d = s.dim
+    if d > MAX_ZERO_FACE_DIM:
+        raise ValueError(f"zero-face enumeration guarded to D <= {MAX_ZERO_FACE_DIM}")
+    sq = s.sq_coeffs
+    best = float(np.max(_efficiency_table(sq, p_ref)[1]))
+    faces = max(
+        float(np.max(_efficiency_table(sq[~zero], p_ref)[1]))
+        for zero in _subset_masks(d)[1:]
+    )
+    return _scale(d) * (faces - best)
+
+
+def prefix_scan_efficiency(s: SchmidtSpectrum, p_ref: float) -> tuple[int, float]:
+    """Crop count and level of the efficiency optimum, from the frontier.
+
+    Under the curvature bound n * P_ref < 1 and with something left
+    uncropped (beta_n > 0), the level alpha_n = P_ref * beta_n / (1 - n * P_ref)
+    fits the box, alpha_n <= a_n^2, exactly where a_n^2 >= P_ref * p_n. These n
+    form a prefix, all of it cropped. Valid for P_ref > 1/D; (0, max a^2) is
+    the identity.
+    """
+    a, beta, p = frontier(s)
+    # the bound follows from the other two, but not in floats: p_n can absorb
+    # a subnormal beta_n, as in [0.5, 0.5, 5e-324] at P_ref = 0.5
+    curved = np.arange(1, a.size + 1) * p_ref < 1.0
+    n = int(np.count_nonzero((a >= p_ref * p) & (beta > 0.0) & curved))
+    if n == 0:
+        return 0, float(a[0])
+    rest, denom = float(beta[n - 1]), 1.0 - n * p_ref
+    # a subnormal beta can round the product to 0 (0.4 * 5e-324) while the
+    # level is representable: then divide first
+    level = p_ref * rest / denom if p_ref * rest >= _MIN_NORMAL else rest / denom * p_ref
+    # at subnormal resolution a near-tie can round the level past a_n^2
+    return n, min(level, float(a[n - 1]))
+
+
+def prefix_scan_fixed(s: SchmidtSpectrum, p_fix: float) -> tuple[int, float]:
+    """Crop count and level of the fixed-probability optimum, from the
+    frontier: the n breakpoints p_n >= p_fix are cropped at
+    kappa = (p_fix - beta_n) / n; (0, max a^2) when p_fix is above them all."""
+    a, beta, p = frontier(s)
+    n = int(np.count_nonzero(p >= p_fix))
+    return (n, (p_fix - float(beta[n - 1])) / n) if n else (0, float(a[0]))

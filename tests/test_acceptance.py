@@ -22,12 +22,13 @@ from schmidt_forge.interp import interp_sweep
 from schmidt_forge.oracle import (
     appendix_a_check,
     appendix_b_check,
-    apply_plan,
     duality_check,
     enumerate_configurations,
     numeric_qp_ascent,
     sample_psd_contraction,
 )
+
+from helpers import apply_plan
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

@@ -88,6 +88,12 @@ DOMAIN_ERRORS = [
     pytest.param(None, ["concentrate", "--pref", "0.6"],
                  "IoError: cannot read {path}: [Errno 2] No such file or directory: '{path}'",
                  id="MissingFile"),
+    pytest.param(WORKED, ["concentrate", "--pref", "0.3", "--out", ""],
+                 "IoError: cannot write : [Errno 2] No such file or directory: ''",
+                 id="EmptyOutConcentrate"),
+    pytest.param(WORKED, ["fixedp", "--p", "0.7", "--out", ""],
+                 "IoError: cannot write : [Errno 2] No such file or directory: ''",
+                 id="EmptyOutFixedp"),
 ]
 
 
@@ -223,7 +229,8 @@ class TestConcentrateCommand:
 
     @pytest.mark.parametrize("content, argv, line", DOMAIN_ERRORS)
     def test_domain_error_exit_code(self, tmp_path, capsys, content, argv, line):
-        # status 1, one line on stderr, the class name first, and no output file
+        # status 1, one line on stderr, the class name first, and no output file;
+        # a row's own --out comes last, so it wins
         path = tmp_path / "spectrum.json"
         if isinstance(content, list):
             content = json.dumps({"dim": len(content), "squared_coefficients": content}).encode()
@@ -231,7 +238,7 @@ class TestConcentrateCommand:
             path.write_bytes(content)
         out = tmp_path / "out"
         command, *options = argv
-        assert main([command, "--spectrum", str(path), *options, "--out", str(out)]) == 1
+        assert main([command, "--spectrum", str(path), "--out", str(out), *options]) == 1
         assert capsys.readouterr().err == line.format(path=path) + "\n"
         assert not out.exists()
 
@@ -723,10 +730,9 @@ def test_package_root_is_the_library():
     # the root neither imports the oracle nor names a verifier, or a name that
     # only the tests and the benchmark reach; the verifiers live in the oracle
     verifiers = [
-        "OracleReport", "appendix_a_check", "appendix_b_check", "apply_plan",
-        "best_zero_face_gain", "duality_check", "efficiency_q", "enumerate_configurations",
-        "enumerate_fixed_configurations", "numeric_qp_ascent", "relative_diffs",
-        "run_validation",
+        "OracleReport", "appendix_a_check", "appendix_b_check", "duality_check",
+        "enumerate_configurations", "enumerate_fixed_configurations", "numeric_qp_ascent",
+        "relative_diffs", "run_validation",
     ]
     absent = verifiers + ["sort_descending", "interp_sweep"]
     check = ("import sys, schmidt_forge; "

@@ -16,15 +16,17 @@ from schmidt_forge import (
 )
 from schmidt_forge.efficiency import _efficiency_level, _level_plan
 from schmidt_forge.errors import InfeasibleError, OutOfRangeError, RankDeficientError
-from schmidt_forge.oracle import apply_plan, efficiency_q, prefix_scan_efficiency
 from schmidt_forge.spectrum import sort_descending
 
 from helpers import (
     BOUNDARY_CASES,
+    apply_plan,
     assert_level_plan,
     case_spectrum,
     dirichlet_spectrum,
+    efficiency_q,
     haar,
+    prefix_scan_efficiency,
     random_reference,
     spectra,
     verifier_rejects,

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -17,25 +18,24 @@ from schmidt_forge.oracle import (
     ValidationResult,
     appendix_a_check,
     appendix_b_check,
-    best_zero_face_gain,
     enumerate_configurations,
     enumerate_fixed_configurations,
-    frontier,
     numeric_qp_ascent,
-    prefix_scan_efficiency,
-    prefix_scan_fixed,
     relative_diffs,
     run_validation,
     sample_psd_contraction,
 )
-from schmidt_forge.spectrum import sort_descending
+from schmidt_forge.spectrum import frontier, sort_descending
 
 from helpers import (
     BOUNDARY_CASES,
     assert_level_plan,
+    best_zero_face_gain,
     case_spectrum,
     dirichlet_spectrum,
     inject_fault,
+    prefix_scan_efficiency,
+    prefix_scan_fixed,
     random_reference,
     verifier_rejects,
 )
@@ -347,6 +347,25 @@ class TestValidationDriver:
         monkeypatch.setattr(oracle, "appendix_b_check", nan_once)
         offdiag = run_validation(dim_max=5, instances=2, seed=1)[4]
         assert (offdiag.name, offdiag.passed) == ("offdiagonal-never-helps", False)
+
+    def test_validate_reaches_every_public_verifier(self, monkeypatch):
+        # the oracle ships only what `validate` runs; a verifier that only the
+        # tests call belongs in helpers
+        public = [name for name, obj in vars(oracle).items()
+                  if inspect.isfunction(obj) and obj.__module__ == oracle.__name__
+                  and not name.startswith("_")]
+        called = set()
+
+        def recorder(name, fn):
+            def record(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+            return record
+
+        for name in public:
+            monkeypatch.setattr(oracle, name, recorder(name, getattr(oracle, name)))
+        oracle.run_validation(dim_max=3, instances=1, seed=0)
+        assert sorted(set(public) - called) == []
 
     @pytest.mark.parametrize("dim_max", [MIN_VALIDATION_DIM - 1, 0, -5])
     def test_dim_max_below_minimum_is_typed_error(self, dim_max):
