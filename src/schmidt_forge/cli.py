@@ -94,6 +94,8 @@ def _cmd_measures(args) -> int:
 def _cmd_sample(args) -> int:
     # checked now, drawn once --out exists: bad arguments write nothing, a bad --out draws nothing
     spectra = _draws(args.dim, args.seed, args.count)
+    if not args.out:  # Path("") is the working directory
+        raise IoError("cannot create directory: --out is empty")
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

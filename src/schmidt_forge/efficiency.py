@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InfeasibleError, OutOfRangeError, RankDeficientError
-from .spectrum import Measures, SchmidtSpectrum, _frozen_array, frontier, measures
+from .spectrum import Measures, SchmidtSpectrum, frontier, measures
 
 #: additive slack of the range checks on user-supplied parameters
 FEAS_TOL = 1e-12
@@ -60,7 +60,7 @@ def reference_from(kind: str, value: float, dim: int) -> float:
     raise ValueError(f"unknown reference kind {kind!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ConcentrationPlan:
     """A diagonal filtering plan, fixed by one water level.
 
@@ -69,6 +69,7 @@ class ConcentrationPlan:
     L = ``crop_level``, exactly L on the crop {m : a_m^2 >= L} and a^2 off it.
     ``n_opt`` counts the cut coefficients. The identity plan has n_opt = 0,
     x = a^2 and L = max a^2; each spectrum makes it once, for both planners.
+    Only the planners build plans: the record takes no constructor arguments.
     """
 
     x: np.ndarray
@@ -86,10 +87,6 @@ class ConcentrationPlan:
         object.__setattr__(plan, "crop_level", crop_level)
         object.__setattr__(plan, "sq_coeffs", sq_coeffs)
         return plan
-
-    def __post_init__(self):
-        for name in ("x", "sq_coeffs"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
     @cached_property
     def y(self) -> np.ndarray:

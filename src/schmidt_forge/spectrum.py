@@ -2,7 +2,8 @@
 
 A bipartite pure qudit state is represented here only by the squares of its
 Schmidt coefficients; the Schmidt basis kets are implicit in index position.
-All types are immutable after construction and all operations are pure.
+``make_spectrum`` is the one way in for outside values: the records take no
+constructor arguments. All types are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -16,26 +17,18 @@ import numpy as np
 
 from .errors import InvalidSpectrumError
 
-#: stored spectra must sum to one within this
-NORM_TOL = 1e-12
 #: user-supplied coefficients may be off by this much before ingestion balks
 INGEST_TOL = 1e-9
 
 
-def _frozen_array(values) -> np.ndarray:
-    """A read-only float64 copy: no array of a caller can change what is stored."""
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, float, float]:
+def _checked(values, normalize: bool) -> tuple[np.ndarray, float, float, float]:
     """A caller's squared coefficients as a float64 array, their sum, and
     their smallest and largest entries, which the check reduces anyway.
 
     This is the one check of values from outside the package, made in this
-    order: nonempty, finite, nonnegative, a positive sum, within ``tol`` of 1
-    unless ``normalize`` is set, and one dimension of size D >= 2.
+    order: nonempty, finite, nonnegative, a positive sum, within
+    ``INGEST_TOL`` of 1 unless ``normalize`` is set, and one dimension of
+    size D >= 2. The array may be the caller's: only its quotient is stored.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -55,11 +48,9 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, fl
         total = float(np.add.reduce(arr, axis=None))
     if total <= 0.0:
         raise InvalidSpectrumError("all-zero coefficient list cannot be normalized")
-    if not normalize and abs(total - 1.0) > tol:
-        # only the constructor checks at NORM_TOL, and it has no normalize
-        how = ("use make_spectrum(values, normalize=True)" if tol == NORM_TOL
-               else "pass normalize=True")
-        raise InvalidSpectrumError(f"squared coefficients sum to {total!r}; {how} to rescale")
+    if not normalize and abs(total - 1.0) > INGEST_TOL:
+        raise InvalidSpectrumError(
+            f"squared coefficients sum to {total!r}; pass normalize=True to rescale")
     if arr.ndim != 1:
         raise InvalidSpectrumError(f"coefficients must be a 1-D array, not shape {arr.shape}")
     if arr.size < 2:
@@ -67,19 +58,20 @@ def _checked(values, normalize: bool, tol: float) -> tuple[np.ndarray, float, fl
     return arr, total, float(lo), float(hi)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SchmidtSpectrum:
     """Squared Schmidt coefficients of a D-dimensional pure bipartite state;
-    D is their count."""
+    D is their count. Built by ``make_spectrum`` or by the package, never
+    from a caller's array."""
 
     sq_coeffs: np.ndarray
 
     @classmethod
     def _adopt(cls, sq_coeffs: np.ndarray) -> SchmidtSpectrum:
-        """A spectrum of values this package has just made, stored as given: it
-        skips ``__init__`` and ``__post_init__``, so nothing is copied or checked,
-        and ``sq_coeffs`` is made read-only in place. Each caller says why its
-        values are valid; a spectrum is checked once, where it enters."""
+        """A spectrum of values this package has just made, stored as given:
+        nothing is copied or checked, and ``sq_coeffs`` is made read-only in
+        place. Each caller says why its values are valid; a spectrum is
+        checked once, in ``make_spectrum``."""
         s = object.__new__(cls)
         sq_coeffs.setflags(write=False)
         object.__setattr__(s, "sq_coeffs", sq_coeffs)
@@ -92,12 +84,6 @@ class SchmidtSpectrum:
             self.__dict__["min_sq"] = lo
         self.__dict__["max_sq"] = hi
         return self
-
-    def __post_init__(self):
-        coeffs = _frozen_array(self.sq_coeffs)
-        _, _, lo, hi = _checked(coeffs, False, NORM_TOL)
-        object.__setattr__(self, "sq_coeffs", coeffs)
-        self._seed(lo, hi)
 
     @property
     def dim(self) -> int:
@@ -147,7 +133,7 @@ def make_spectrum(values, normalize: bool = False) -> SchmidtSpectrum:
     division by the sum is monotone, so min(a / total) is min(a) / total
     exactly, and likewise the max.
     """
-    arr, total, lo, hi = _checked(values, normalize, INGEST_TOL)
+    arr, total, lo, hi = _checked(values, normalize)
     # the values are finite and nonnegative with a positive finite sum, so
     # each ratio lies in [0, 1] and the ratios sum to 1 up to rounding
     return SchmidtSpectrum._adopt(arr / total)._seed(lo / total, hi / total)

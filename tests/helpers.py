@@ -21,7 +21,7 @@ from schmidt_forge import (
 from schmidt_forge import oracle
 from schmidt_forge.efficiency import _MIN_NORMAL, FEAS_TOL, _scale
 from schmidt_forge.oracle import _efficiency_table, _payoff, _subset_masks
-from schmidt_forge.spectrum import frontier
+from schmidt_forge.spectrum import _checked, frontier
 
 
 @st.composite
@@ -138,6 +138,18 @@ def inject_fault(monkeypatch, suite: int, value: float, every: int = 1) -> str:
 
 #: cost guard of the zero-face enumeration
 MAX_ZERO_FACE_DIM = 8
+#: a spectrum the package derives sums to one within this, as stored
+STORED_SUM_TOL = 1e-12
+
+
+def stored_spectrum(values) -> SchmidtSpectrum:
+    """A spectrum of exactly ``values``, certified as one the package could
+    store: ``make_spectrum``'s value and shape checks pass, and the values'
+    own float sum is within ``STORED_SUM_TOL`` of 1. The spectrum holds a
+    copy of the values, not their quotient by the sum."""
+    arr, total, _, _ = _checked(values, False)
+    assert abs(total - 1.0) <= STORED_SUM_TOL, f"squared coefficients sum to {total!r}"
+    return SchmidtSpectrum._adopt(arr.copy())
 
 
 def _check_box(s: SchmidtSpectrum, y) -> np.ndarray:
@@ -166,7 +178,7 @@ def apply_plan(s: SchmidtSpectrum, plan: ConcentrationPlan) -> ConcentrationOutc
     p_success = float(np.add.reduce(x))
     if p_success <= 0.0:
         raise ValueError("plan has zero success probability")
-    post = SchmidtSpectrum(x / p_success)
+    post = stored_spectrum(x / p_success)
     return ConcentrationOutcome(plan, p_success, post, measures(post), None)
 
 

@@ -193,6 +193,16 @@ class TestSampleCommand:
         assert err.startswith("IoError: ") and str(out) in err
         assert out.read_text() == "kept"
 
+    def test_empty_out_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Path("") is the working directory: an empty --out must not write there
+        draws = []
+        monkeypatch.setattr(sampling, "_one_spectrum", lambda *a: draws.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", "--dim", "4", "--seed", "0", "--count", "1", "--out", ""]) == 1
+        assert capsys.readouterr().err == "IoError: cannot create directory: --out is empty\n"
+        assert list(tmp_path.iterdir()) == []
+        assert draws == []
+
     def test_out_error_comes_before_the_first_draw(self, tmp_path, capsys, monkeypatch):
         # --out is made before the first spectrum is drawn
         (tmp_path / "taken").write_text("kept")

@@ -323,13 +323,7 @@ class TestApplyPlan:
 
     def test_arbitrary_plan_evaluation(self):
         s = make_spectrum(WORKED)
-        base = optimal_plan_efficiency(s, 0.3).plan
-        plan = type(base)(
-            x=s.sq_coeffs * [0.5, 2 / 3, 1.0, 1.0],
-            n_opt=3,
-            crop_level=0.2,
-            sq_coeffs=s.sq_coeffs,
-        )
+        plan = ConcentrationPlan._adopt(s.sq_coeffs * [0.5, 2 / 3, 1.0, 1.0], 3, 0.2, s.sq_coeffs)
         out = apply_plan(s, plan)
         assert out.p_success == pytest.approx(0.7, abs=1e-12)
         assert np.allclose(
@@ -340,7 +334,7 @@ class TestApplyPlan:
     def test_rejects_bad_plans(self):
         s = make_spectrum(WORKED)
         plan = optimal_plan_efficiency(s, 0.3).plan
-        zero = ConcentrationPlan(x=np.zeros(4), n_opt=0, crop_level=0.0, sq_coeffs=s.sq_coeffs)
+        zero = ConcentrationPlan._adopt(np.zeros(4), 0, 0.0, s.sq_coeffs)
         for spectrum, bad, message in [
             (make_spectrum([0.5, 0.5]), plan, "y has shape"),
             (s, zero, "plan has zero success probability"),

@@ -6,7 +6,6 @@ import pytest
 
 from schmidt_forge import (
     FixedProbRequest,
-    SchmidtSpectrum,
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
@@ -15,7 +14,7 @@ from schmidt_forge import (
 from schmidt_forge.errors import IoError, ParseError, SchemaError
 from schmidt_forge import io
 
-from helpers import read_csv
+from helpers import read_csv, stored_spectrum
 
 WORKED = [0.4, 0.3, 0.2, 0.1]
 
@@ -94,7 +93,7 @@ class TestSpectrumRoundTrip:
 @pytest.mark.xfail(strict=True, reason="read_spectrum divides by the float sum again")
 def test_spectrum_file_round_trip(tmp_path):
     # numpy sums fewer than 8 values in order: 0.7 + 0.2 + 0.1 is 0.9999999999999999
-    s = SchmidtSpectrum([0.7, 0.2, 0.1])
+    s = stored_spectrum([0.7, 0.2, 0.1])
     path = tmp_path / "s.json"
     io.write_spectrum(s, path)
     assert io.read_spectrum(path).sq_coeffs.tobytes() == s.sq_coeffs.tobytes()

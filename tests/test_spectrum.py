@@ -18,7 +18,7 @@ from schmidt_forge.efficiency import ConcentrationPlan, _Sweep
 from schmidt_forge.errors import InvalidSpectrumError
 from schmidt_forge.spectrum import SchmidtSpectrum, sort_descending
 
-from helpers import spectra
+from helpers import spectra, stored_spectrum
 
 
 class TestMakeSpectrum:
@@ -62,8 +62,6 @@ class TestMakeSpectrum:
             make_spectrum([bad, 0.5, 0.5])
         with pytest.raises(InvalidSpectrumError, match="must be finite"):
             make_spectrum([bad, 0.5, 0.5], normalize=True)
-        with pytest.raises(InvalidSpectrumError, match="must be finite"):
-            SchmidtSpectrum(np.array([bad, 0.5, 0.5]))
 
     def test_overflowing_input_is_normalized(self):
         values = [1e308, 1e308]
@@ -111,7 +109,6 @@ class TestMakeSpectrum:
         s = make_spectrum(arr, normalize=True)
         assert_exact(s)
         assert_exact(make_spectrum(s.sq_coeffs))
-        assert_exact(SchmidtSpectrum(s.sq_coeffs))
 
 
 class TestMeasures:
@@ -187,7 +184,7 @@ NAN, INF = float("nan"), float("inf")
 #: messages of the spectrum checks
 FINITE = "coefficients must be finite"
 NONNEGATIVE = "coefficients must be nonnegative"
-STORED_SUM = "squared coefficients sum to {}; use make_spectrum(values, normalize=True) to rescale"
+STORED_SUM = "squared coefficients sum to {}; pass normalize=True to rescale"
 
 
 def by_check(*rows, show_message=True):
@@ -204,8 +201,8 @@ def by_check(*rows, show_message=True):
 class TestErrorPrecedence:
     """The first failed check wins, in the order non-finite, negative,
     not normalized, not 1-D with D >= 2, whatever else is wrong with the
-    input. The public constructor and make_spectrum share the one check,
-    and every failure is an InvalidSpectrumError with that check's message."""
+    input. make_spectrum is the one check of a caller's values, and every
+    failure is an InvalidSpectrumError with that check's message."""
 
     @pytest.mark.parametrize("values, message", by_check(
         ([NAN, -0.5, 1.5], "NonFiniteEntryError", FINITE),
@@ -222,7 +219,7 @@ class TestErrorPrecedence:
     ))
     def test_stored_spectrum(self, values, message):
         with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
-            SchmidtSpectrum(np.array(values))
+            make_spectrum(np.array(values))
 
     @pytest.mark.parametrize("values, message", by_check(
         ([NAN, -0.5, 1.5], "NonFiniteEntryError", FINITE),
@@ -243,9 +240,8 @@ class TestErrorPrecedence:
         (np.array([1.0]), "a bipartite spectrum needs dim >= 2"),
     ])
     def test_structure(self, values, message):
-        for build in (SchmidtSpectrum, make_spectrum):
-            with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
-                build(values)
+        with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
+            make_spectrum(values)
 
     @pytest.mark.parametrize("values, total", [([1.5, 0.0], "1.5"), ([0.3, 0.3], "0.6")])
     def test_ingest_bad_sum(self, values, total):
@@ -267,20 +263,22 @@ class TestImmutability:
         # the owner of a read-only array can make it writeable again
         owner = values.copy()
         owner.setflags(write=False)
-        built = [SchmidtSpectrum(values), SchmidtSpectrum(view), make_spectrum(values),
-                 SchmidtSpectrum(owner)]
-        plan = ConcentrationPlan(x=owner, n_opt=0, crop_level=0.75, sq_coeffs=owner)
+        built = [make_spectrum(values), make_spectrum(view), make_spectrum(owner)]
         owner.setflags(write=True)
         values[:] = owner[:] = [0.5, 0.5]
         assert values.flags.writeable
-        for stored in [s.sq_coeffs for s in built] + [plan.x, plan.sq_coeffs]:
-            assert stored.tolist() == [0.25, 0.75]
-            assert not stored.flags.writeable
+        for s in built:
+            assert s.sq_coeffs.tolist() == [0.25, 0.75]
+            assert not s.sq_coeffs.flags.writeable
 
-    def test_stored_normalization_enforced(self):
-        with pytest.raises(InvalidSpectrumError,
-                           match="^squared coefficients sum to 1.000000001; use"):
-            SchmidtSpectrum(np.array([0.5, 0.5 + 1e-9]))
+    @pytest.mark.parametrize("build", [
+        lambda a: SchmidtSpectrum(a),
+        lambda a: ConcentrationPlan(a, 0, 0.75, a),
+    ], ids=["SchmidtSpectrum", "ConcentrationPlan"])
+    def test_records_take_no_caller_arrays(self, build):
+        # make_spectrum is the one way in; the message is the interpreter's
+        with pytest.raises(TypeError):
+            build(np.array([0.25, 0.75]))
 
 
 S5 = [0.4, 0.25, 0.15, 0.12, 0.08]
@@ -318,8 +316,8 @@ QUARTERS = [0.5, 0.25, 0.25]
 
 
 class TestDerivedSpectra:
-    """A derived spectrum is stored without the value checks; rebuilt from a
-    copy of its values, which takes them all, it must still be accepted."""
+    """A derived spectrum is stored without the value checks; its values must
+    still pass them all and sum to 1 within STORED_SUM_TOL as stored."""
 
     @given(spectra(max_dim=10, zeros=True), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @example(make_spectrum([1.0, 5e-324, 1e-310, 0.0]), 0.5, 0.5)  # subnormal coefficients
@@ -346,7 +344,7 @@ class TestDerivedSpectra:
             derived.append(standard.post_spectrum)
             derived += [interpolate(s, xi).spectrum for xi in (1.0, 1e-300)]
         for t in derived:
-            SchmidtSpectrum(np.array(t.sq_coeffs))
+            stored_spectrum(t.sq_coeffs)
 
     @given(spectra(max_dim=10, zeros=True), st.floats(1e-300, 1e300))
     def test_ingested_spectra(self, s, scale):
@@ -357,7 +355,7 @@ class TestDerivedSpectra:
             make_spectrum(sq * scale, normalize=True),
             make_spectrum([1e308, 1e308], normalize=True),
         ):
-            SchmidtSpectrum(np.array(t.sq_coeffs))
+            stored_spectrum(t.sq_coeffs)
 
     @pytest.mark.parametrize("values, message", by_check(
         ([0.7, 0.7], "NotNormalizedError", STORED_SUM.format(1.4)),
@@ -372,4 +370,4 @@ class TestDerivedSpectra:
         arr.setflags(write=False)
         assert arr.flags.owndata
         with pytest.raises(InvalidSpectrumError, match=f"^{re.escape(message)}$"):
-            SchmidtSpectrum(arr)
+            make_spectrum(arr)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 
 from schmidt_forge import (
     FixedProbRequest,
-    SchmidtSpectrum,
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
@@ -20,7 +19,7 @@ from schmidt_forge.efficiency import P_REF_TOL
 from schmidt_forge.errors import SchmidtForgeError
 from schmidt_forge.spectrum import frontier
 
-from helpers import case_spectrum
+from helpers import case_spectrum, stored_spectrum
 
 #: the smallest subnormal float
 TINY = 5e-324
@@ -36,9 +35,10 @@ def sweep_spectra(draw):
         counts = draw(st.lists(st.integers(0, 8), min_size=d - 1, max_size=d - 1))
         total = 1 << (sum(counts) + 1).bit_length()
         values = [c / total for c in counts] + [(total - sum(counts)) / total]
-        # a subnormal leaves the sum within NORM_TOL of 1
+        # a subnormal leaves the sum within STORED_SUM_TOL of 1, so the
+        # values are stored as drawn, not divided by their sum
         values = [draw(extras) if v == 0.0 else v for v in values]
-        return SchmidtSpectrum(draw(st.permutations(values)))
+        return stored_spectrum(draw(st.permutations(values)))
     entry = extras | st.floats(1e-3, 1.0)
     values = draw(st.lists(entry, min_size=d, max_size=d).filter(lambda v: max(v) >= 1e-3))
     return make_spectrum(values, normalize=True)
