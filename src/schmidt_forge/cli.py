@@ -20,7 +20,7 @@ import numpy as np
 from . import io
 from .efficiency import optimal_plan_efficiency, reference_from
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, IoError, SchmidtForgeError
-from .fixedprob import FixedProbRequest, optimal_plan_fixed
+from .fixedprob import optimal_plan_fixed
 from .sampling import MAX_SAMPLE_DIM, _draws
 from .spectrum import measures
 from .sweep import sweep_table
@@ -125,7 +125,7 @@ def _cmd_concentrate(args) -> int:
 
 def _cmd_fixedp(args) -> int:
     s = io.read_spectrum(args.spectrum)
-    outcome = optimal_plan_fixed(s, FixedProbRequest(args.p))
+    outcome = optimal_plan_fixed(s, args.p)
     _emit(io.outcome_dict(outcome, "fixedprob", args.p), args.out)
     return 0
 

@@ -5,29 +5,17 @@ post-state purity sum_m a_m^4 y_m^2 / p_fix^2 subject to
 sum_m a_m^2 y_m = p_fix and the box 0 <= y_m <= 1. The minimizer has the same
 structure as the efficiency optimum: every squared coefficient above one
 water level kappa is cut down to it, x_m = min(a_m^2, kappa), where kappa
-solves sum_m min(a_m^2, kappa) = p_fix.
+solves sum_m min(a_m^2, kappa) = p_fix. The planner takes p_fix as a number
+and checks p_fix in (0, 1] itself, as the efficiency planner checks P_ref.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .efficiency import FEAS_TOL, ConcentrationOutcome, _identity, _level_plan, _outcome_from_plan
 from .errors import OutOfRangeError
 from .spectrum import SchmidtSpectrum
-
-
-@dataclass(frozen=True)
-class FixedProbRequest:
-    """A target success probability in (0, 1]."""
-
-    p_fix: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p_fix <= 1.0 + FEAS_TOL:
-            raise OutOfRangeError(f"p_fix={self.p_fix!r} outside (0, 1]")
 
 
 def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, int]:
@@ -53,7 +41,7 @@ def _fixed_level(sq: np.ndarray, p_fix: float) -> tuple[float, int]:
         n_prev = n
 
 
-def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> ConcentrationOutcome:
+def optimal_plan_fixed(s: SchmidtSpectrum, p_fix: float) -> ConcentrationOutcome:
     """Minimize post-concentration purity among plans succeeding with p_fix.
 
     Every squared coefficient at or above the water level kappa is cut down
@@ -62,9 +50,12 @@ def optimal_plan_fixed(s: SchmidtSpectrum, req: FixedProbRequest) -> Concentrati
     plan, n_opt = 0). The outcome's ``p_success`` equals ``p_fix`` to
     rounding and its purity is the global minimum over the feasible set;
     ``q_value`` is None because no reference level takes part in this
-    problem.
+    problem. A p_fix outside (0, 1] is an ``OutOfRangeError``, checked before
+    anything else, as ``optimal_plan_efficiency`` checks P_ref.
     """
-    p_fix = float(req.p_fix)
+    if not 0.0 < p_fix <= 1.0 + FEAS_TOL:
+        raise OutOfRangeError(f"p_fix={p_fix!r} outside (0, 1]")
+    p_fix = float(p_fix)
     if p_fix / s.dim == 0.0:
         raise OutOfRangeError(
             f"p_fix={p_fix!r} is too small for dim={s.dim}: "

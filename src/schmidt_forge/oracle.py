@@ -36,7 +36,7 @@ import numpy as np
 
 from .efficiency import FEAS_TOL, _scale, _y_of, optimal_plan_efficiency
 from .errors import MAX_ENUM_DIM, MIN_VALIDATION_DIM, SchmidtForgeError
-from .fixedprob import FixedProbRequest, optimal_plan_fixed
+from .fixedprob import optimal_plan_fixed
 from .sampling import _one_spectrum
 from .spectrum import SchmidtSpectrum
 
@@ -109,7 +109,7 @@ def duality_check(s: SchmidtSpectrum, p_ref: float) -> bool:
     (otherwise a lower-purity plan at equal probability would beat it).
     """
     eff = optimal_plan_efficiency(s, p_ref)
-    fixed = optimal_plan_fixed(s, FixedProbRequest(eff.p_success))
+    fixed = optimal_plan_fixed(s, eff.p_success)
     return bool(np.max(np.abs(eff.plan.x - fixed.plan.x)) <= DUALITY_TOL)
 
 
@@ -365,7 +365,7 @@ def _efficiency_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
 
 def _fixedprob_vs_enumeration(s: SchmidtSpectrum, rng: np.random.Generator):
     p_fix = float(rng.uniform(0.05, 1.0))
-    alg = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+    alg = optimal_plan_fixed(s, p_fix)
     report = enumerate_fixed_configurations(s, p_fix)
     return alg.post_measures.purity - report.best_purity, abs(alg.p_success - p_fix)
 

@@ -15,7 +15,7 @@ spectrum's identity outcome, made once per spectrum as for single plans.
 from __future__ import annotations
 
 from .efficiency import _Sweep, optimal_plan_efficiency
-from .fixedprob import FixedProbRequest, optimal_plan_fixed
+from .fixedprob import optimal_plan_fixed
 from .interp import interpolate
 from .spectrum import SchmidtSpectrum
 
@@ -49,7 +49,7 @@ def sweep_table(s: SchmidtSpectrum, mode: str, grid) -> tuple[list[str], list[li
         if mode == "efficiency":
             o = optimal_plan_efficiency(s, v, shared)
         else:
-            o = optimal_plan_fixed(s, FixedProbRequest(v))
+            o = optimal_plan_fixed(s, v)
         m = o.post_measures
         row = [v, o.plan.n_opt, o.p_success, m.purity, m.schmidt_number,
                m.concurrence_sq, o.q_value]

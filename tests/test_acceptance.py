@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from schmidt_forge import (
-    FixedProbRequest,
+    interpolate,
     make_spectrum,
     measures,
     optimal_plan_efficiency,
     optimal_plan_fixed,
     sample_haar_spectrum,
 )
-from schmidt_forge.interp import interp_sweep
 from schmidt_forge.oracle import (
     appendix_a_check,
     appendix_b_check,
@@ -180,7 +179,7 @@ def test_criterion_5_fixed_probability_optimality():
         d = int(rng.integers(3, 11))
         s = _haar(d, 3_000_000 + k)
         p_fix = float(rng.uniform(0.02, 1.0))
-        out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+        out = optimal_plan_fixed(s, p_fix)
         perr = abs(out.p_success - p_fix)
         worst_perr = max(worst_perr, perr)
         purity = out.post_measures.purity
@@ -252,7 +251,7 @@ def test_criterion_8_offdiagonal_components_never_help():
 def test_criterion_9_worked_regression():
     s = make_spectrum([0.4, 0.3, 0.2, 0.1])
     eff = optimal_plan_efficiency(s, 0.3)
-    fixed = optimal_plan_fixed(s, FixedProbRequest(0.7))
+    fixed = optimal_plan_fixed(s, 0.7)
     ok = (
         eff.plan.n_opt == 2
         and abs(eff.plan.crop_level - 0.225) <= 1e-12
@@ -280,7 +279,7 @@ def test_criterion_10_interpolation_baseline():
         s = _haar(d, 7_000_000 + k)
         sq = s.sq_coeffs
         amin = float(sq.min())
-        points = interp_sweep(s, grid)
+        points = [interpolate(s, xi) for xi in grid]
         for xi, pt in zip(grid, points):
             b_expected = sq + (1.0 / d - sq) * xi
             p_expected = 1.0 / (1.0 - xi + xi / (d * amin)) if xi > 0 else 1.0

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 
 from schmidt_forge import (
-    FixedProbRequest,
     io,
     make_spectrum,
     optimal_plan_efficiency,
@@ -506,7 +505,7 @@ class TestSweepCommand:
                 if mode == "efficiency":
                     o = optimal_plan_efficiency(s, row[0])
                 else:
-                    o = optimal_plan_fixed(s, FixedProbRequest(row[0]))
+                    o = optimal_plan_fixed(s, row[0])
                 m = o.post_measures
                 want = [row[0], o.plan.n_opt, o.p_success, m.purity, m.schmidt_number,
                         m.concurrence_sq, o.q_value]
@@ -726,8 +725,11 @@ def test_cli_import_leaves_oracle_unloaded(tmp_path):
 def test_package_exports_resolve():
     import schmidt_forge
 
+    # FixedProbRequest is no export: it stays a root alias of float only while
+    # perfbench's frozen library batch builds its fixed request through it,
+    # until the benchmark edit of ROADMAP item 1
     assert schmidt_forge.__all__ == [
-        "ConcentrationOutcome", "ConcentrationPlan", "FixedProbRequest", "InterpPoint",
+        "ConcentrationOutcome", "ConcentrationPlan", "InterpPoint",
         "Measures", "SchmidtForgeError", "SchmidtSpectrum", "interpolate",
         "make_spectrum", "measures", "optimal_plan_efficiency", "optimal_plan_fixed",
         "reference_from", "sample_haar_spectrum", "sweep_table",
@@ -737,6 +739,8 @@ def test_package_exports_resolve():
 
 
 def test_package_root_is_the_library():
+    import schmidt_forge
+
     # the root neither imports the oracle nor names a verifier, or a name that
     # only the tests and the benchmark reach; the verifiers live in the oracle
     verifiers = [
@@ -754,6 +758,7 @@ def test_package_root_is_the_library():
     namespace = {}
     exec(f"from schmidt_forge.oracle import {', '.join(verifiers)}", namespace)
     assert all(namespace[name] is not None for name in verifiers)
+    assert schmidt_forge.FixedProbRequest is float  # p_fix is a number
 
 
 #: a complete argv of each subcommand: its required options, each one with

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from schmidt_forge import (
     ConcentrationPlan,
-    FixedProbRequest,
     make_spectrum,
     measures,
     optimal_plan_efficiency,
@@ -16,7 +15,6 @@ from schmidt_forge import (
 )
 from schmidt_forge.efficiency import _efficiency_level, _level_plan
 from schmidt_forge.errors import InfeasibleError, OutOfRangeError, RankDeficientError
-from schmidt_forge.spectrum import sort_descending
 
 from helpers import (
     BOUNDARY_CASES,
@@ -301,7 +299,7 @@ class TestOptimalPlan:
         cut = sum(min(Fraction(a), Fraction(level)) for a in s.sq_coeffs.tolist())
         assert abs(Fraction(level) - Fraction(p_ref) * cut) <= Fraction(5e-324)
         # the fixed-probability dual at the plan's p_success cuts at the same level
-        dual = optimal_plan_fixed(s, FixedProbRequest(out.p_success))
+        dual = optimal_plan_fixed(s, out.p_success)
         assert (dual.plan.crop_level, dual.plan.n_opt) == (level, 2)
 
 
@@ -363,7 +361,7 @@ class TestPlanInvariants:
         assert_level_plan(plan, sq)
         assert np.all(plan.x <= sq)
         # cropped set = the n_opt largest under the stable descending sort
-        _, perm = sort_descending(s)
+        perm = np.argsort(-s.sq_coeffs, kind="stable")
         if plan.n_opt > 0:
             assert np.array_equal(
                 np.flatnonzero(sq >= plan.crop_level), np.sort(perm[: plan.n_opt])
@@ -401,7 +399,7 @@ class TestPlanInvariants:
         if s.rank == d or p_ref >= 1.0 / s.rank:
             outs.append(optimal_plan_efficiency(s, p_ref))
         if u / d > 0.0:
-            outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
+            outs.append(optimal_plan_fixed(s, u))
         for out in outs:
             assert_level_plan(out.plan, s.sq_coeffs)
 
@@ -419,10 +417,10 @@ class TestPlanInvariants:
         if s.rank == d or p_ref >= 1.0 / s.rank:
             outs.append(optimal_plan_efficiency(s, p_ref))
         if u / d > 0.0:
-            outs.append(optimal_plan_fixed(s, FixedProbRequest(u)))
+            outs.append(optimal_plan_fixed(s, u))
         elif u > 0.0:
             with pytest.raises(OutOfRangeError, match=f"dim={d}: .* underflows to 0$"):
-                optimal_plan_fixed(s, FixedProbRequest(u))
+                optimal_plan_fixed(s, u)
         for out in outs:
             level = out.plan.crop_level
             crop = sq >= level

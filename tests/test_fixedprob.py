@@ -1,12 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from schmidt_forge import FixedProbRequest, make_spectrum, measures, optimal_plan_fixed
+from schmidt_forge import make_spectrum, measures, optimal_plan_fixed
 from schmidt_forge.errors import OutOfRangeError
 from schmidt_forge.oracle import duality_check, enumerate_fixed_configurations
-from schmidt_forge.spectrum import sort_descending
 
 from helpers import BOUNDARY_CASES, case_spectrum, dirichlet_spectrum, random_reference, spectra
 
@@ -14,20 +15,38 @@ WORKED = [0.4, 0.3, 0.2, 0.1]
 
 
 class TestRequestValidation:
+    """The planner checks its p_fix in (0, 1] first, as the efficiency planner
+    checks P_ref."""
+
     def test_rejects_out_of_range(self):
-        for bad in (0.0, -0.2, 1.1):
+        s = make_spectrum(WORKED)
+        for bad in (0.0, -0.2, 1.1, float("nan")):
             with pytest.raises(OutOfRangeError, match=f"^p_fix={bad!r} outside \\(0, 1\\]$"):
-                FixedProbRequest(bad)
+                optimal_plan_fixed(s, bad)
+        # the message keeps the caller's value as given: numpy's repr
+        bad = np.float64(1.5)
+        with pytest.raises(OutOfRangeError, match=f"^{re.escape(f'p_fix={bad!r}')} outside \\(0, 1\\]$"):
+            optimal_plan_fixed(s, bad)
+
+    def test_range_is_checked_before_underflow(self):
+        # 0 is out of range, not a level that underflows; 5e-324 is in range
+        # and its first level 5e-324 / 4 underflows
+        s = make_spectrum(WORKED)
+        with pytest.raises(OutOfRangeError, match=r"^p_fix=0\.0 outside \(0, 1\]$"):
+            optimal_plan_fixed(s, 0.0)
+        with pytest.raises(OutOfRangeError, match=r"^p_fix=5e-324 is too small for dim=4: "):
+            optimal_plan_fixed(s, 5e-324)
 
     def test_accepts_interior_and_one(self):
-        assert FixedProbRequest(1.0).p_fix == 1.0
-        assert FixedProbRequest(1e-6).p_fix == 1e-6
+        s = make_spectrum(WORKED)
+        assert optimal_plan_fixed(s, 1.0).p_success == pytest.approx(1.0, abs=1e-12)
+        assert optimal_plan_fixed(s, 1e-6).p_success == pytest.approx(1e-6, rel=1e-12)
 
 
 class TestOptimalPlanFixed:
     def test_worked_example(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_fixed(s, FixedProbRequest(0.7))
+        out = optimal_plan_fixed(s, 0.7)
         # the kappa = a_3^2 tie makes n = 3 and n = 2 produce the same x
         assert np.allclose(out.plan.x, [0.2, 0.2, 0.2, 0.1], atol=1e-12)
         assert np.allclose(out.plan.y, [0.5, 2 / 3, 1.0, 1.0], atol=1e-12)
@@ -38,14 +57,14 @@ class TestOptimalPlanFixed:
 
     def test_probability_one_is_identity(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_fixed(s, FixedProbRequest(1.0))
+        out = optimal_plan_fixed(s, 1.0)
         assert np.allclose(out.plan.y, 1.0, atol=1e-12)
         assert out.p_success == pytest.approx(1.0, abs=1e-12)
         assert out.post_measures.purity == pytest.approx(measures(s).purity, abs=1e-12)
 
     def test_below_full_concentration_probability(self):
         s = make_spectrum(WORKED)
-        out = optimal_plan_fixed(s, FixedProbRequest(0.2))
+        out = optimal_plan_fixed(s, 0.2)
         assert out.plan.n_opt == 4
         assert np.allclose(out.plan.x, 0.05, atol=1e-12)
         assert np.allclose(out.post_spectrum.sq_coeffs, 0.25, atol=1e-12)
@@ -53,21 +72,21 @@ class TestOptimalPlanFixed:
 
     def test_rank_deficient_spectrum_handled(self):
         s = make_spectrum([0.6, 0.4, 0.0])
-        out = optimal_plan_fixed(s, FixedProbRequest(0.5))
+        out = optimal_plan_fixed(s, 0.5)
         assert out.p_success == pytest.approx(0.5, abs=1e-12)
         assert np.all(out.plan.y > 0.0)
         assert out.plan.y[2] == 1.0  # untouched zero coefficient
 
     @given(spectra(min_dim=3, max_dim=10), st.floats(0.01, 1.0))
     def test_invariants(self, s, p_fix):
-        out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+        out = optimal_plan_fixed(s, p_fix)
         plan = out.plan
         sq = s.sq_coeffs
         assert abs(out.p_success - p_fix) <= 1e-12
         assert np.all(plan.y > 0.0)
         assert np.all(plan.y <= 1.0 + 1e-12)
         assert np.allclose(plan.x, np.minimum(sq, plan.crop_level), atol=1e-11)
-        _, perm = sort_descending(s)
+        perm = np.argsort(-s.sq_coeffs, kind="stable")
         if plan.n_opt > 0:
             assert np.array_equal(
                 np.flatnonzero(sq >= plan.crop_level), np.sort(perm[: plan.n_opt])
@@ -79,7 +98,7 @@ class TestOptimalPlanFixed:
         # an absolute feasibility tolerance once counted a coefficient lying
         # just below the level here, lifting its x above a^2
         s = make_spectrum(np.random.default_rng(2).dirichlet(np.ones(2**16)))
-        out = optimal_plan_fixed(s, FixedProbRequest(2.0068e-4))
+        out = optimal_plan_fixed(s, 2.0068e-4)
         plan = out.plan
         assert np.all(plan.x <= s.sq_coeffs)
         assert plan.n_opt == np.count_nonzero(s.sq_coeffs >= plan.crop_level)
@@ -87,7 +106,7 @@ class TestOptimalPlanFixed:
 
     @given(spectra(min_dim=3, max_dim=8), st.floats(0.05, 1.0))
     def test_purity_minimal_vs_enumeration(self, s, p_fix):
-        out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+        out = optimal_plan_fixed(s, p_fix)
         report = enumerate_fixed_configurations(s, p_fix)
         assert out.post_measures.purity <= report.best_purity + 1e-10
 
@@ -95,10 +114,10 @@ class TestOptimalPlanFixed:
     def test_identity_starts_exactly_at_the_total_weight(self, values):
         s = case_spectrum(values)
         total = s.total
-        assert optimal_plan_fixed(s, FixedProbRequest(total)).plan.n_opt == 0
+        assert optimal_plan_fixed(s, total).plan.n_opt == 0
         # one ulp below, a coefficient is cut and p_success stays on p_fix
         p_fix = np.nextafter(total, 0.0)
-        out = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+        out = optimal_plan_fixed(s, p_fix)
         assert out.plan.n_opt >= 1
         assert abs(out.p_success - p_fix) <= 4 * np.spacing(p_fix)
 
@@ -109,7 +128,7 @@ class TestOptimalPlanFixed:
             s = dirichlet_spectrum(rng, d)
             grid = np.linspace(1.0, 0.02, 40)  # descending p_fix
             purities = [
-                optimal_plan_fixed(s, FixedProbRequest(p)).post_measures.purity
+                optimal_plan_fixed(s, p).post_measures.purity
                 for p in grid
             ]
             assert np.all(np.diff(purities) <= 1e-12)

@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given
 
 from schmidt_forge import (
-    FixedProbRequest,
     io,
     make_spectrum,
     optimal_plan_efficiency,
@@ -183,7 +182,7 @@ def test_plan_vectors_match_digest(name):
         outs = [optimal_plan_efficiency(s, p) for p in refs]
     else:
         fixes = [1e-9, 1.0 / d, 0.01, 0.3, 0.9, float(np.add.reduce(s.sq_coeffs)), 1.0]
-        outs = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
+        outs = [optimal_plan_fixed(s, p) for p in fixes]
     assert _plan_digest(outs) == PLAN_DIGESTS[name]
 
 
@@ -199,7 +198,7 @@ def test_one_identity_outcome_per_spectrum():
         s = make_spectrum(values)
         refs, fixes = [s.max_sq, 0.75, 1.0], [s.total, 1.0]
         effs = [optimal_plan_efficiency(s, p) for p in refs]
-        fixed = [optimal_plan_fixed(s, FixedProbRequest(p)) for p in fixes]
+        fixed = [optimal_plan_fixed(s, p) for p in fixes]
         assert len({id(o.post_spectrum) for o in effs + fixed}) == 1
         assert len({o.q_value for o in effs}) == 3
         assert {o.q_value for o in fixed} == {None}

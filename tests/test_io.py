@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from schmidt_forge import (
-    FixedProbRequest,
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
@@ -121,7 +120,7 @@ class TestOutcomeRoundTrip:
 
     def test_fixedprob_outcome_null_q(self, tmp_path):
         s = make_spectrum(WORKED)
-        out = optimal_plan_fixed(s, FixedProbRequest(0.7))
+        out = optimal_plan_fixed(s, 0.7)
         path = tmp_path / "o.json"
         io.write_json(io.outcome_dict(out, "fixedprob", 0.7), path)
         text = path.read_text()

@@ -9,7 +9,6 @@ from schmidt_forge import (
     measures,
     optimal_plan_efficiency,
     optimal_plan_fixed,
-    FixedProbRequest,
 )
 from schmidt_forge import oracle
 from schmidt_forge.efficiency import P_REF_TOL
@@ -25,7 +24,7 @@ from schmidt_forge.oracle import (
     run_validation,
     sample_psd_contraction,
 )
-from schmidt_forge.spectrum import frontier, sort_descending
+from schmidt_forge.spectrum import frontier
 
 from helpers import (
     BOUNDARY_CASES,
@@ -45,7 +44,7 @@ def _top_prefix_rows(report, s):
     """Each row's interior-set size n, and whether the set is the n largest
     coefficients in the stable descending order."""
     rank = np.empty(s.dim, dtype=int)
-    rank[list(sort_descending(s)[1])] = np.arange(s.dim)
+    rank[np.argsort(-s.sq_coeffs, kind="stable")] = np.arange(s.dim)
     n = report.inner.sum(axis=1)
     return n, np.where(report.inner, rank, -1).max(axis=1) == n - 1
 
@@ -153,7 +152,7 @@ class TestEnumerateFixed:
             s = dirichlet_spectrum(rng, d)
             p_fix = float(rng.uniform(0.05, 1.0))
             report = enumerate_fixed_configurations(s, p_fix)
-            alg = optimal_plan_fixed(s, FixedProbRequest(p_fix))
+            alg = optimal_plan_fixed(s, p_fix)
             assert alg.post_measures.purity <= report.best_purity + 1e-10
             assert report.best_purity <= alg.post_measures.purity + 1e-10
 
@@ -407,7 +406,7 @@ class TestPrefixScanAtScale:
     def test_fixed(self, spectrum, p_fix):
         n_scan, level_scan = prefix_scan_fixed(spectrum, p_fix)
         assert 0 < n_scan < self.D
-        out = optimal_plan_fixed(spectrum, FixedProbRequest(p_fix))
+        out = optimal_plan_fixed(spectrum, p_fix)
         self._check(spectrum, out, n_scan, level_scan)
         assert out.p_success == pytest.approx(p_fix, rel=1e-12)
 
@@ -446,7 +445,7 @@ class TestFrontierBreakpoints:
         assert isolated.size >= min(dim - 2, 100)
         for n in isolated.tolist():
             for p_fix, expected in ((p[n - 1] * (1 - w), n), (p[n - 1] * (1 + w), n - 1)):
-                assert optimal_plan_fixed(s, FixedProbRequest(p_fix)).plan.n_opt == expected
+                assert optimal_plan_fixed(s, p_fix).plan.n_opt == expected
 
     @pytest.mark.parametrize("dim", [3, 10, 300, 2**14])
     def test_efficiency_crop_changes_at_each_breakpoint(self, dim):
@@ -468,7 +467,7 @@ class TestFrontierBreakpoints:
         p, r, w, ns = _breakpoint_probes(s)
         for p_fix in np.concatenate((p[ns - 1] * (1 - w), p[ns - 1] * (1 + w))).tolist():
             if 0.0 < p_fix <= 1.0:
-                plan = optimal_plan_fixed(s, FixedProbRequest(p_fix)).plan
+                plan = optimal_plan_fixed(s, p_fix).plan
                 assert prefix_scan_fixed(s, p_fix)[0] == plan.n_opt
         for p_ref in np.concatenate((r[ns - 1] * (1 - w), r[ns - 1] * (1 + w))).tolist():
             if 1.0 / s.rank + P_REF_TOL < p_ref <= 1.0:

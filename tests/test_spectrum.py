@@ -7,7 +7,6 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from schmidt_forge import (
-    FixedProbRequest,
     interpolate,
     make_spectrum,
     measures,
@@ -293,8 +292,8 @@ class TestPlannerOutputs:
         (lambda s: optimal_plan_efficiency(s, 0.9), 0),
         (lambda s: optimal_plan_efficiency(s, 0.9, _Sweep(s)), 0),
         (lambda s: optimal_plan_efficiency(s, 0.3), 1),
-        (lambda s: optimal_plan_fixed(s, FixedProbRequest(0.5)), 4),
-        (lambda s: optimal_plan_fixed(s, FixedProbRequest(1.0)), 0),
+        (lambda s: optimal_plan_fixed(s, 0.5), 4),
+        (lambda s: optimal_plan_fixed(s, 1.0), 0),
         (lambda s: interpolate(s, 0.5), None),
     ], ids=["standard", "identity", "sweep-identity", "level", "fixed", "fixed-p1",
             "interp"])
@@ -337,7 +336,7 @@ class TestDerivedSpectra:
         if p_ref >= 1.0 / s.rank:
             derived.append(optimal_plan_efficiency(s, p_ref).post_spectrum)
         if p_fix / d > 0.0:
-            derived.append(optimal_plan_fixed(s, FixedProbRequest(p_fix)).post_spectrum)
+            derived.append(optimal_plan_fixed(s, p_fix).post_spectrum)
         if s.rank == d:
             standard = optimal_plan_efficiency(s, 1.0 / d)
             assert standard.plan.n_opt == d

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from schmidt_forge import (
-    FixedProbRequest,
     make_spectrum,
     optimal_plan_efficiency,
     optimal_plan_fixed,
@@ -71,7 +70,7 @@ def _per_point(s, mode, grid):
             if mode == "efficiency":
                 o = optimal_plan_efficiency(s, v)
             else:
-                o = optimal_plan_fixed(s, FixedProbRequest(v))
+                o = optimal_plan_fixed(s, v)
         except SchmidtForgeError as exc:
             return type(exc), str(exc)
         m = o.post_measures
